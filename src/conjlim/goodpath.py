@@ -26,6 +26,7 @@ from .numkit import (
     matrix_from_json,
     matrix_to_json,
     operator_norm,
+    poly_eval,
     subspace_equal,
     subspace_intersection,
 )
@@ -271,23 +272,19 @@ def construct_good_path(z, tol: Tolerance = DEFAULT_TOL, order: int = 8) -> Good
     )
 
 
-def _path_value(base: np.ndarray, coeffs, t: float) -> np.ndarray:
-    out = base.astype(np.complex128, copy=True)
-    tk = 1.0
-    for e in coeffs:
-        tk *= t
-        out += tk * e
-    return out
-
-
 def laurent_inverse(z, coeffs, order: int = 8, tol: Tolerance = DEFAULT_TOL):
-    """Solve for the Laurent coefficients of ``(Z + sum t^k E_k)^{-1}`` under
-    the pole-order-one ansatz.
+    """Solve for the Laurent coefficients of ``P(t)^{-1}``, with
+    ``P(t) = Z + sum t^k E_k``, under the pole-order-one ansatz.
 
-    The two-sided coefficient-matching equations for the powers t^{-1}..t^N
-    are stacked into one least-squares system over the vectorized unknowns
-    ``C_{-1}, C_0, ..., C_N``; relative residual above
-    :data:`LAURENT_REJECT_REL` means no simple-pole inverse exists and raises
+    Then ``D(t) = t P(t)^{-1} = sum_j D_j t^j`` is analytic, with
+    ``D_0 = C_{-1}`` and ``D_{j+1} = C_j``.  Matching the powers
+    ``t^0..t^{N+2}`` of ``P(t) D(t) = t I`` gives one block lower-triangular
+    Toeplitz system in ``D_0..D_{N+2}``, solved by a single least-squares
+    call with the columns of I as right-hand sides (Avrachenkov, Haviv &
+    Howlett, SIAM J. Matrix Anal. Appl. 22(4), 2001).  ``D_0..D_{N+1}`` are
+    unique: a homogeneous solution X has ``P X = O(t^{N+3})``, hence
+    ``X = O(t^{N+2})``.  A pole of order >= 2 makes the system inconsistent;
+    relative residual above :data:`LAURENT_REJECT_REL` raises
     :class:`NotAGoodPathError`.  Returns ``(pole, [C_0, ..., C_N])``.
     """
     Z = as_square(z, "Z")
@@ -299,31 +296,19 @@ def laurent_inverse(z, coeffs, order: int = 8, tol: Tolerance = DEFAULT_TOL):
     if order < 0:
         raise InvalidInputError(f"order must be nonnegative, got {order}")
 
-    for t in _SAMPLE_TS:
-        sv = np.linalg.svd(_path_value(Z, es, t), compute_uv=False)
-        if sv[-1] <= 1e-13 * max(1.0, float(sv[0])):
-            raise InvalidPathError(f"path is singular at sampled t = {t}")
+    sv = np.linalg.svd(poly_eval(Z, es, _SAMPLE_TS), compute_uv=False)
+    singular = sv[:, -1] <= 1e-13 * np.maximum(1.0, sv[:, 0])
+    if singular.any():
+        t = _SAMPLE_TS[int(np.argmax(singular))]
+        raise InvalidPathError(f"path is singular at sampled t = {t}")
 
-    pathc = [Z, *es]
-    unknowns = order + 2  # C_{-1} .. C_order
-    blk = n * n
-    eye = np.eye(n)
-    rows = 2 * unknowns * blk
-    system = np.zeros((rows, unknowns * blk), dtype=np.complex128)
-    rhs = np.zeros(rows, dtype=np.complex128)
-    for row, m in enumerate(range(-1, order + 1)):
-        lrow = row * blk
-        rrow = (unknowns + row) * blk
-        for k, pk in enumerate(pathc):
-            j = m - k
-            if not (-1 <= j <= order):
-                continue
-            col = (j + 1) * blk
-            system[lrow : lrow + blk, col : col + blk] += np.kron(eye, pk)
-            system[rrow : rrow + blk, col : col + blk] += np.kron(pk.T, eye)
-        if m == 0:
-            rhs[lrow : lrow + blk] = eye.reshape(-1, order="F")
-            rhs[rrow : rrow + blk] = eye.reshape(-1, order="F")
+    blocks = order + 3  # D_0 .. D_{order+2}
+    system = np.zeros((blocks * n, blocks * n), dtype=np.complex128)
+    for k, pk in enumerate([Z, *es]):
+        for j in range(blocks - k):
+            system[(j + k) * n : (j + k + 1) * n, j * n : (j + 1) * n] = pk
+    rhs = np.zeros((blocks * n, n), dtype=np.complex128)
+    rhs[n : 2 * n] = np.eye(n)
 
     solution, *_ = np.linalg.lstsq(system, rhs, rcond=None)
     defect = float(np.linalg.norm(system @ solution - rhs))
@@ -334,11 +319,8 @@ def laurent_inverse(z, coeffs, order: int = 8, tol: Tolerance = DEFAULT_TOL):
         raise NotAGoodPathError(
             f"no inverse with pole order <= 1: relative residual {defect / max(1.0, scale):.3e}"
         )
-    mats = [
-        solution[i * blk : (i + 1) * blk].reshape((n, n), order="F")
-        for i in range(unknowns)
-    ]
-    return mats[0], mats[1:]
+    mats = solution.reshape(blocks, n, n)
+    return mats[0], list(mats[1 : order + 2])
 
 
 def is_pole_coefficient(c, z, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -23,6 +23,7 @@ __all__ = [
     "as_square",
     "as_vector",
     "operator_norm",
+    "poly_eval",
     "rank_of",
     "Subspace",
     "kernel_basis",
@@ -126,6 +127,19 @@ def operator_norm(m) -> float:
     """Largest singular value of ``m`` (operator 2-norm)."""
     a = as_matrix(m)
     return float(np.linalg.norm(a, 2))
+
+
+def poly_eval(base: np.ndarray, coeffs, ts) -> np.ndarray:
+    """Stack of path values ``base + sum_k t^k coeffs[k-1]``, one per t.
+
+    Horner's rule over the coefficients, vectorised over the 1-d array
+    ``ts``; returns a complex array of shape ``(len(ts), n, n)``.
+    """
+    t = np.asarray(ts, dtype=np.complex128).reshape(-1, 1, 1)
+    out = np.zeros((t.shape[0],) + base.shape, dtype=np.complex128)
+    for e in reversed(coeffs):
+        out = t * (out + e)
+    return out + base
 
 
 def _svd_rank(s: np.ndarray, rank_rel: float) -> int:

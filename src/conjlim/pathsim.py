@@ -23,6 +23,7 @@ from .numkit import (
     ginibre,
     kernel_basis,
     operator_norm,
+    poly_eval,
     subspace_intersection,
 )
 
@@ -491,131 +492,48 @@ def preserves_filtration(a, filtration: Filtration, tol: Tolerance = DEFAULT_TOL
 # ---------------------------------------------------------------------------
 # Exact polynomial-path test.
 
-def _adjugate(m: np.ndarray) -> np.ndarray:
-    n = m.shape[0]
-    if n == 1:
-        return np.ones((1, 1), dtype=np.complex128)
-    adj = np.empty((n, n), dtype=np.complex128)
-    rows = list(range(n))
-    cols = list(range(n))
-    for i in range(n):
-        sub_rows = rows[:i] + rows[i + 1 :]
-        for j in range(n):
-            sub_cols = cols[:j] + cols[j + 1 :]
-            minor = m[np.ix_(sub_rows, sub_cols)]
-            adj[j, i] = (-1) ** (i + j) * np.linalg.det(minor)
-    return adj
+def _batched_adjugate(us: np.ndarray) -> np.ndarray:
+    """Adjugates of a stack of square matrices.
+
+    With ``U = W diag(s) V^H`` the adjugate is
+    ``det(W) det(V^H) V diag(prod_{j != i} s_j) W^H`` (G. W. Stewart, "On the
+    adjugate matrix", LAA 283, 1998).  The products skipping one singular
+    value come from prefix and suffix products, never by division, so the
+    adjugate stays accurate where U is singular or nearly so.
+    """
+    w, s, vh = np.linalg.svd(us)
+    count = us.shape[0]
+    phase = np.linalg.det(np.concatenate([w, vh])).reshape(2, count).prod(axis=0)
+    ones = np.ones((count, 1))
+    before = np.cumprod(np.concatenate([ones, s[:, :-1]], axis=1), axis=1)
+    after = np.cumprod(np.concatenate([ones, s[:, :0:-1]], axis=1), axis=1)[:, ::-1]
+    v = vh.conj().swapaxes(-1, -2)
+    return (phase[:, None, None] * v * (before * after)[:, None, :]) @ w.conj().swapaxes(-1, -2)
 
 
 def _poly_samples(z: np.ndarray, coeffs, a: np.ndarray):
-    """Values of det(path) and path*A*adj(path) at roots of unity."""
+    """Coefficients of det(path) and path*A*adj(path), interpolated from
+    their values at the ``n(p+1)+1`` roots of unity by an inverse DFT, and
+    the rounding level of the determinant samples."""
     n = z.shape[0]
-    p = len(coeffs)
-    count = n * (p + 1) + 1
-    ts = np.exp(2j * np.pi * np.arange(count) / count)
-    dets = np.empty(count, dtype=np.complex128)
-    prods = np.empty((count, n, n), dtype=np.complex128)
-    for idx, t in enumerate(ts):
-        u = z.astype(np.complex128, copy=True)
-        tk = 1.0 + 0j
-        for e in coeffs:
-            tk *= t
-            u += tk * e
-        dets[idx] = np.linalg.det(u)
-        prods[idx] = u @ a @ _adjugate(u)
-    det_coeffs = np.fft.fft(dets) / count
-    prod_coeffs = np.fft.fft(prods, axis=0) / count
-    return det_coeffs, prod_coeffs
+    count = n * (len(coeffs) + 1) + 1
+    us = poly_eval(z, coeffs, np.exp(2j * np.pi * np.arange(count) / count))
+    prods = us @ a @ _batched_adjugate(us)
+    # rounding bound of the sampled determinants, by Hadamard's inequality
+    noise = n * n * np.finfo(float).eps * np.linalg.norm(us, axis=2).prod(axis=1).max()
+    dets = np.fft.fft(np.linalg.det(us)) / count
+    return dets, np.fft.fft(prods, axis=0) / count, float(noise)
 
 
-def _poly_conv_dets(z: np.ndarray, coeffs, a: np.ndarray):
-    """Fallback with exact coefficient convolutions instead of sampling."""
-    n = z.shape[0]
-    p = len(coeffs)
-    deg = p + 1  # entries of the path have degree <= p; arrays sized deg
-    entry = np.zeros((n, n, deg), dtype=np.complex128)
-    entry[:, :, 0] = z
-    for k, e in enumerate(coeffs, start=1):
-        entry[:, :, k] = e
-
-    from functools import lru_cache
-
-    def conv(x, y):
-        return np.convolve(x, y)
-
-    @lru_cache(maxsize=None)
-    def minor_det(row: int, cols: frozenset):
-        cols_list = sorted(cols)
-        if row == n:
-            return np.ones(1, dtype=np.complex128)
-        if not cols_list:
-            return np.ones(1, dtype=np.complex128)
-        acc = None
-        for pos, c in enumerate(cols_list):
-            sub = minor_det(row + 1, cols - {c})
-            term = conv(entry[row, c], sub) * ((-1) ** pos)
-            acc = term if acc is None else _poly_add(acc, term)
-        return acc
-
-    def _poly_add(x, y):
-        if x.size < y.size:
-            x = np.pad(x, (0, y.size - x.size))
-        elif y.size < x.size:
-            y = np.pad(y, (0, x.size - y.size))
-        return x + y
-
-    all_cols = frozenset(range(n))
-    det_poly = minor_det(0, all_cols)
-
-    # adjugate entries are signed minors of the transposed pattern
-    def minor_without(i: int, j: int):
-        rows = [r for r in range(n) if r != i]
-        cols = [c for c in range(n) if c != j]
-        if not rows:
-            return np.ones(1, dtype=np.complex128)
-        sub = entry[np.ix_(rows, cols)]
-        m = len(rows)
-
-        def rec(r: int, avail: frozenset):
-            if r == m:
-                return np.ones(1, dtype=np.complex128)
-            acc = None
-            for pos, c in enumerate(sorted(avail)):
-                term = conv(sub[r, c], rec(r + 1, avail - {c})) * ((-1) ** pos)
-                acc = term if acc is None else _poly_add(acc, term)
-            return acc
-
-        return rec(0, frozenset(range(m)))
-
-    max_len = n * (p + 1) + 1
-    adj = np.zeros((n, n, max_len), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            mpoly = minor_without(i, j) * ((-1) ** (i + j))
-            adj[j, i, : mpoly.size] = mpoly
-
-    prod = np.zeros((max_len, n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            acc = np.zeros(max_len, dtype=np.complex128)
-            for r in range(n):
-                for c in range(n):
-                    if a[r, c] == 0:
-                        continue
-                    term = conv(entry[i, r], adj[c, j]) * a[r, c]
-                    acc[: term.size] += term[:max_len]
-            prod[:, i, j] = acc
-    det_out = np.zeros(max_len, dtype=np.complex128)
-    det_out[: det_poly.size] = det_poly[:max_len]
-    return det_out, prod
-
-
-def polynomial_growth_degrees(z, coeffs, a, tol: Tolerance = DEFAULT_TOL, method: str = "interpolate"):
+def polynomial_growth_degrees(z, coeffs, a, tol: Tolerance = DEFAULT_TOL):
     """Lowest nonzero t-degrees of ``det(path)`` and ``path * A * adj(path)``.
 
-    Returns ``(product_degree, det_degree)`` where a degree of ``None`` means
-    the polynomial vanishes identically at the relative coefficient
-    threshold.
+    Both polynomials are sampled at roots of unity, from one stacked path
+    evaluation, one batched determinant and the SVD form of the adjugate,
+    and their coefficients recovered by an inverse DFT.  Returns
+    ``(product_degree, det_degree)`` where a degree of ``None`` means the
+    polynomial vanishes identically: all its coefficients are zero, or, for
+    the determinant, at or below the rounding level of its samples.
     """
     Z = as_square(z, "Z")
     A = as_square(a, "A")
@@ -625,41 +543,30 @@ def polynomial_growth_degrees(z, coeffs, a, tol: Tolerance = DEFAULT_TOL, method
             raise InvalidInputError("path coefficients must match the base shape")
     if A.shape != Z.shape:
         raise InvalidInputError("A must match the base shape")
-    if method == "interpolate":
-        det_coeffs, prod_coeffs = _poly_samples(Z, es, A)
-    elif method == "convolve":
-        det_coeffs, prod_coeffs = _poly_conv_dets(Z, es, A)
-    else:
-        raise InvalidInputError(f"unknown method {method!r}")
+    det_coeffs, prod_coeffs, det_noise = _poly_samples(Z, es, A)
 
-    def lowest(arr: np.ndarray) -> int | None:
+    def lowest(arr: np.ndarray, floor: float = 0.0) -> int | None:
         mags = np.abs(arr.reshape(arr.shape[0], -1)).max(axis=1)
         top = float(mags.max())
-        if top <= 0.0:
+        if top <= floor:
             return None
         nz = np.nonzero(mags > POLY_COEFF_REL * top)[0]
         return int(nz[0]) if nz.size else None
 
-    return lowest(prod_coeffs.reshape(prod_coeffs.shape[0], -1)), lowest(
-        det_coeffs.reshape(-1, 1)
-    )
+    return lowest(prod_coeffs), lowest(det_coeffs, det_noise)
 
 
-def polynomial_path_bounded(
-    z, coeffs, a, tol: Tolerance = DEFAULT_TOL, method: str = "interpolate"
-) -> bool:
+def polynomial_path_bounded(z, coeffs, a, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Exact boundedness of ``||U(t) A U(t)^{-1}||`` as t -> 0 along the
     polynomial path ``U(t) = Z + sum t^k E_k``.
 
     Since ``U^{-1} = adj(U)/det(U)``, the conjugate is bounded iff the lowest
     nonzero t-degree of ``U(t) A adj(U(t))`` is at least that of
-    ``det(U(t))``.  Both polynomials are recovered exactly by evaluation at
-    roots of unity and an inverse DFT (``method="interpolate"``); a direct
-    coefficient-convolution fallback is available as ``method="convolve"``.
+    ``det(U(t))``; both degrees come from :func:`polynomial_growth_degrees`.
     Raises :class:`~conjlim.goodpath.InvalidPathError` for identically
     singular paths.
     """
-    prod_deg, det_deg = polynomial_growth_degrees(z, coeffs, a, tol, method)
+    prod_deg, det_deg = polynomial_growth_degrees(z, coeffs, a, tol)
     if det_deg is None:
         raise InvalidPathError("path determinant vanishes identically")
     if prod_deg is None:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -25,6 +26,15 @@ from conjlim.numkit import (
 
 def diag(*vals):
     return np.diag(np.array(vals, dtype=complex))
+
+
+def poly_matmul(p, q):
+    """Coefficients of the product of two matrix polynomials."""
+    out = [np.zeros_like(p[0]) for _ in range(len(p) + len(q) - 1)]
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] = out[i + j] + x @ y
+    return out
 
 
 class TestPolarFactors:
@@ -150,6 +160,66 @@ class TestLaurentInverse:
         pole, _ = laurent_inverse(p @ z, [p @ gp.path_coeffs[0]], order=3)
         expected = np.linalg.solve(p.conj().T, gp.inverse_pole.conj().T).conj().T
         assert np.linalg.norm(pole - expected, 2) < 1e-8
+
+
+    def test_order_eight_at_n16_round_trip(self):
+        z = random_singular(16, 9, np.random.default_rng(15))
+        gp = construct_good_path(z, order=8)
+        # time a warm call: the first one in a process can pay a one-time
+        # BLAS set-up cost of most of a second
+        laurent_inverse(z, gp.path_coeffs, order=8)
+        start = time.perf_counter()
+        pole, series = laurent_inverse(z, gp.path_coeffs, order=8)
+        assert time.perf_counter() - start < 1.0
+        assert np.linalg.norm(pole - gp.inverse_pole, 2) < 1e-8
+        for got, want in zip(series, gp.inverse_series, strict=True):
+            assert np.linalg.norm(got - want, 2) < 1e-8
+
+    @pytest.mark.parametrize("n", [4, 6, 10])
+    def test_square_zero_base_plus_identity_has_second_order_pole(self, n):
+        # (Z + tI)^{-1} = I/t - Z/t^2 when Z^2 = 0
+        rng = np.random.default_rng(n)
+        half = n // 2
+        nil = np.zeros((n, n), dtype=complex)
+        nil[:half, half:] = ginibre(half, rng=rng)
+        q = random_unitary(n, rng)
+        z = q @ nil @ q.conj().T
+        assert np.linalg.norm(z @ z, 2) < 1e-12
+        with pytest.raises(NotAGoodPathError):
+            laurent_inverse(z, [np.eye(n)], order=4)
+
+    @pytest.mark.parametrize("left_degree, right_degree", [(1, 0), (1, 1)])
+    def test_simple_pole_paths_of_higher_degree(self, left_degree, right_degree):
+        # L(t) (Z + tE) R(t) with L, R invertible at 0 keeps a simple pole
+        rng = np.random.default_rng(20 + right_degree)
+        n, order = 5, 5
+        gp = construct_good_path(random_singular(n, 3, rng))
+
+        def factor(degree):
+            return [np.eye(n) + 0.3 * ginibre(n, rng=rng)] + [
+                0.5 * ginibre(n, rng=rng) for _ in range(degree)
+            ]
+
+        coeffs = poly_matmul(
+            poly_matmul(factor(left_degree), [gp.base, gp.path_coeffs[0]]),
+            factor(right_degree),
+        )
+        assert len(coeffs) == 2 + left_degree + right_degree
+        pole, series = laurent_inverse(coeffs[0], coeffs[1:], order=order)
+        found = GoodPath(
+            base=coeffs[0],
+            path_coeffs=tuple(coeffs[1:]),
+            inverse_pole=pole,
+            inverse_series=tuple(series),
+            order=order,
+        )
+        found.validate()
+        assert found.has_pole
+        t = 1e-3
+        value = sum(t**k * c for k, c in enumerate(coeffs))
+        expected = t * np.linalg.inv(value)
+        got = pole + sum(t ** (j + 1) * c for j, c in enumerate(series))
+        assert np.linalg.norm(got - expected, 2) < 1e-8 * found.coefficient_scale()
 
 
 class TestPoleCoefficientPredicate:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from conjlim.pathsim import (
     rank_one_probe,
     simulate,
 )
+from conjlim.pathsim import _batched_adjugate
 
 
 def unit(n, i, j):
@@ -35,6 +38,79 @@ def unit(n, i, j):
 
 def diag(*vals):
     return np.diag(np.array(vals, dtype=complex))
+
+
+def poly_mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def poly_add(p, q):
+    if len(p) < len(q):
+        p, q = q, p
+    return [x + (q[i] if i < len(q) else 0) for i, x in enumerate(p)]
+
+
+def poly_det(m):
+    """Determinant of a matrix of polynomials (coefficient lists) by
+    cofactor expansion along the first row, in exact arithmetic."""
+    if not m:
+        return [Fraction(1)]
+    out = [Fraction(0)]
+    for j, entry in enumerate(m[0]):
+        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
+        term = poly_mul(entry, poly_det(minor))
+        out = poly_add(out, [-x for x in term] if j % 2 else term)
+    return out
+
+
+def lowest_degree(polys):
+    degrees = [k for p in polys for k, x in enumerate(p) if x != 0]
+    return min(degrees) if degrees else None
+
+
+def exact_growth_degrees(z, coeffs, a):
+    """Lowest t-degrees of ``U A adj(U)`` and ``det U`` for an integer
+    polynomial path, with ``fractions.Fraction`` arithmetic only."""
+    n = len(z)
+    path = [
+        [[Fraction(int(m[i][j])) for m in (z, *coeffs)] for j in range(n)]
+        for i in range(n)
+    ]
+    adj = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [row[:j] + row[j + 1 :] for r, row in enumerate(path) if r != i]
+            cof = poly_det(minor)
+            adj[j][i] = [-x for x in cof] if (i + j) % 2 else cof
+    ua = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for c in range(n):
+            acc = [Fraction(0)]
+            for r in range(n):
+                acc = poly_add(acc, [Fraction(int(a[r][c])) * x for x in path[i][r]])
+            ua[i][c] = acc
+    prod = []
+    for i in range(n):
+        for j in range(n):
+            acc = [Fraction(0)]
+            for c in range(n):
+                acc = poly_add(acc, poly_mul(ua[i][c], adj[c][j]))
+            prod.append(acc)
+    return lowest_degree(prod), lowest_degree([poly_det(path)])
+
+
+def signed_minor_adjugate(m):
+    n = m.shape[0]
+    adj = np.empty((n, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            minor = np.delete(np.delete(m, i, axis=0), j, axis=1)
+            adj[j, i] = (-1) ** (i + j) * np.linalg.det(minor)
+    return adj
 
 
 def random_member(z, rng):
@@ -204,20 +280,40 @@ class TestPolynomialPathBounded:
         with pytest.raises(InvalidPathError):
             polynomial_path_bounded(diag(1.0, 0.0), [diag(1.0, 0.0)], np.eye(2))
 
-    def test_methods_agree(self):
+    def test_singular_at_a_sample_point(self):
+        # diag(1 - t, t) is singular at the root-of-unity sample t = 1
+        z, e = diag(1.0, 0.0), diag(-1.0, 1.0)
+        assert polynomial_growth_degrees(z, [e], unit(2, 0, 1)) == (0, 1)
+        assert polynomial_growth_degrees(z, [e], unit(2, 1, 0)) == (2, 1)
+
+    def test_matches_exact_rational_oracle(self):
         rng = np.random.default_rng(5)
-        for _ in range(15):
+        singular_paths = 0
+        for i in range(60):
             n = int(rng.integers(1, 5))
-            z = random_singular(n, int(rng.integers(0, n + 1)), rng)
-            coeffs = [ginibre(n, rng=rng) for _ in range(int(rng.integers(1, 3)))]
-            a = ginibre(n, rng=rng)
-            try:
-                via_dft = polynomial_path_bounded(z, coeffs, a, method="interpolate")
-            except InvalidPathError:
+            rank = int(rng.integers(0, n + 1))
+            z = rng.integers(-2, 3, (n, rank)) @ rng.integers(-2, 3, (rank, n))
+            coeffs = [rng.integers(-2, 3, (n, n)) for _ in range(int(rng.integers(1, 3)))]
+            if i % 6 == 0:
+                # the last row zero or repeated in every coefficient makes
+                # the determinant vanish identically
+                for m in (z, *coeffs):
+                    m[-1] = m[0] if n > 1 and i % 12 else 0
+            a = rng.integers(-3, 4, (n, n)) if i % 5 else 2 * np.eye(n, dtype=int)
+            expected = exact_growth_degrees(z, coeffs, a)
+            got = polynomial_growth_degrees(z, coeffs, a)
+            if expected[1] is None:
+                # on an identically singular path the product samples are
+                # rounding noise, so only the determinant degree is defined
+                singular_paths += 1
+                assert got[1] is None
                 with pytest.raises(InvalidPathError):
-                    polynomial_path_bounded(z, coeffs, a, method="convolve")
-                continue
-            assert via_dft == polynomial_path_bounded(z, coeffs, a, method="convolve")
+                    polynomial_path_bounded(z, coeffs, a)
+            else:
+                assert got == expected
+                bounded = expected[0] is None or expected[0] >= expected[1]
+                assert polynomial_path_bounded(z, coeffs, a) is bounded
+        assert singular_paths >= 10
 
     def test_agrees_with_simulation(self):
         rng = np.random.default_rng(6)
@@ -237,6 +333,35 @@ class TestPolynomialPathBounded:
             checked += 1
             assert exact == (report.verdict == "bounded")
         assert checked >= 15
+
+
+class TestAdjugate:
+    @staticmethod
+    def check(stack):
+        for m, got in zip(stack, _batched_adjugate(stack)):
+            want = signed_minor_adjugate(m)
+            assert np.linalg.norm(got - want, 2) <= 1e-12 * np.linalg.norm(want, 2)
+
+    def test_full_rank(self):
+        rng = np.random.default_rng(20)
+        for n in range(1, 7):
+            self.check(np.stack([ginibre(n, rng=rng) for _ in range(4)]))
+
+    def test_rank_one_adjugate_at_corank_one(self):
+        rng = np.random.default_rng(21)
+        for n in range(2, 7):
+            stack = np.stack([random_singular(n, n - 1, rng) for _ in range(4)])
+            self.check(stack)
+            for got in _batched_adjugate(stack):
+                s = np.linalg.svd(got, compute_uv=False)
+                assert s[1] <= 1e-12 * s[0]
+
+    def test_zero_adjugate_at_corank_two(self):
+        rng = np.random.default_rng(22)
+        for n in range(2, 7):
+            stack = np.stack([random_singular(n, r, rng) for r in range(n - 1)])
+            for m, got in zip(stack, _batched_adjugate(stack)):
+                assert np.linalg.norm(got, 2) <= 1e-12 * max(1.0, operator_norm(m)) ** (n - 1)
 
 
 class TestDivergenceSearch:
