@@ -283,8 +283,9 @@ def laurent_inverse(z, coeffs, order: int = 8, tol: Tolerance = DEFAULT_TOL):
     call with the columns of I as right-hand sides (Avrachenkov, Haviv &
     Howlett, SIAM J. Matrix Anal. Appl. 22(4), 2001).  ``D_0..D_{N+1}`` are
     unique: a homogeneous solution X has ``P X = O(t^{N+3})``, hence
-    ``X = O(t^{N+2})``.  A pole of order >= 2 makes the system inconsistent;
-    relative residual above :data:`LAURENT_REJECT_REL` raises
+    ``X = O(t^{N+2})``.  A pole of order >= 2 makes the system inconsistent:
+    a residual of this (N+3)n-row system above :data:`LAURENT_REJECT_REL`
+    times ``max(1, ||rhs|| + ||system||_F ||D||)`` raises
     :class:`NotAGoodPathError`.  Returns ``(pole, [C_0, ..., C_N])``.
     """
     Z = as_square(z, "Z")

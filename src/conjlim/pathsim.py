@@ -492,8 +492,8 @@ def preserves_filtration(a, filtration: Filtration, tol: Tolerance = DEFAULT_TOL
 # ---------------------------------------------------------------------------
 # Exact polynomial-path test.
 
-def _batched_adjugate(us: np.ndarray) -> np.ndarray:
-    """Adjugates of a stack of square matrices.
+def _batched_adjugate(us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Adjugates of a stack of square matrices, and their singular values.
 
     With ``U = W diag(s) V^H`` the adjugate is
     ``det(W) det(V^H) V diag(prod_{j != i} s_j) W^H`` (G. W. Stewart, "On the
@@ -508,7 +508,7 @@ def _batched_adjugate(us: np.ndarray) -> np.ndarray:
     before = np.cumprod(np.concatenate([ones, s[:, :-1]], axis=1), axis=1)
     after = np.cumprod(np.concatenate([ones, s[:, :0:-1]], axis=1), axis=1)[:, ::-1]
     v = vh.conj().swapaxes(-1, -2)
-    return (phase[:, None, None] * v * (before * after)[:, None, :]) @ w.conj().swapaxes(-1, -2)
+    return (phase[:, None, None] * v * (before * after)[:, None, :]) @ w.conj().swapaxes(-1, -2), s
 
 
 def _poly_samples(z: np.ndarray, coeffs, a: np.ndarray):
@@ -518,9 +518,11 @@ def _poly_samples(z: np.ndarray, coeffs, a: np.ndarray):
     n = z.shape[0]
     count = n * (len(coeffs) + 1) + 1
     us = poly_eval(z, coeffs, np.exp(2j * np.pi * np.arange(count) / count))
-    prods = us @ a @ _batched_adjugate(us)
-    # rounding bound of the sampled determinants, by Hadamard's inequality
-    noise = n * n * np.finfo(float).eps * np.linalg.norm(us, axis=2).prod(axis=1).max()
+    adj, s = _batched_adjugate(us)
+    prods = us @ a @ adj
+    # rounding level of an LU determinant: a backward error of order
+    # eps*s_max moves det(U) by up to that times ||adj(U)|| = prod_{j<n-1} s_j
+    noise = n * n * np.finfo(float).eps * (s[:, 0] * s[:, :-1].prod(axis=1)).max()
     dets = np.fft.fft(np.linalg.det(us)) / count
     return dets, np.fft.fft(prods, axis=0) / count, float(noise)
 

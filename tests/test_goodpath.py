@@ -188,6 +188,17 @@ class TestLaurentInverse:
         with pytest.raises(NotAGoodPathError):
             laurent_inverse(z, [np.eye(n)], order=4)
 
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_weak_second_order_pole_near_the_rejection_threshold(self, n):
+        # (d J + tI)^{-1} = I/t - d J/t^2: the relative residual of the
+        # simple-pole fit is of order d, against LAURENT_REJECT_REL = 1e-6
+        nil = np.zeros((n, n), dtype=complex)
+        nil[0, n - 1] = 1.0
+        with pytest.raises(NotAGoodPathError):
+            laurent_inverse(1e-4 * nil, [np.eye(n)], order=3)
+        pole, _ = laurent_inverse(1e-8 * nil, [np.eye(n)], order=3)
+        assert np.linalg.norm(pole - np.eye(n), 2) < 1e-6
+
     @pytest.mark.parametrize("left_degree, right_degree", [(1, 0), (1, 1)])
     def test_simple_pole_paths_of_higher_degree(self, left_degree, right_degree):
         # L(t) (Z + tE) R(t) with L, R invertible at 0 keeps a simple pole

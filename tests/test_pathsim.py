@@ -286,6 +286,19 @@ class TestPolynomialPathBounded:
         assert polynomial_growth_degrees(z, [e], unit(2, 0, 1)) == (0, 1)
         assert polynomial_growth_degrees(z, [e], unit(2, 1, 0)) == (2, 1)
 
+    def test_ill_conditioned_path_with_unit_determinant(self):
+        # U(t) = I + t*s*u v^T with v^T u = 0 has det U(t) = 1 and condition
+        # number about s^2 at |t| = 1, while its rows have norm about s/sqrt(6)
+        n, s = 6, 1e3
+        u = np.ones(n) / np.sqrt(n)
+        v = np.zeros(n)
+        v[:2] = (1.0, -1.0)
+        v /= np.sqrt(2.0)
+        a = np.diag(np.arange(n, dtype=float))
+        _, det_deg = polynomial_growth_degrees(np.eye(n), [s * np.outer(u, v)], a)
+        assert det_deg == 0
+        assert polynomial_path_bounded(np.eye(n), [s * np.outer(u, v)], a) is True
+
     def test_matches_exact_rational_oracle(self):
         rng = np.random.default_rng(5)
         singular_paths = 0
@@ -338,7 +351,7 @@ class TestPolynomialPathBounded:
 class TestAdjugate:
     @staticmethod
     def check(stack):
-        for m, got in zip(stack, _batched_adjugate(stack)):
+        for m, got in zip(stack, _batched_adjugate(stack)[0]):
             want = signed_minor_adjugate(m)
             assert np.linalg.norm(got - want, 2) <= 1e-12 * np.linalg.norm(want, 2)
 
@@ -352,7 +365,7 @@ class TestAdjugate:
         for n in range(2, 7):
             stack = np.stack([random_singular(n, n - 1, rng) for _ in range(4)])
             self.check(stack)
-            for got in _batched_adjugate(stack):
+            for got in _batched_adjugate(stack)[0]:
                 s = np.linalg.svd(got, compute_uv=False)
                 assert s[1] <= 1e-12 * s[0]
 
@@ -360,7 +373,7 @@ class TestAdjugate:
         rng = np.random.default_rng(22)
         for n in range(2, 7):
             stack = np.stack([random_singular(n, r, rng) for r in range(n - 1)])
-            for m, got in zip(stack, _batched_adjugate(stack)):
+            for m, got in zip(stack, _batched_adjugate(stack)[0]):
                 assert np.linalg.norm(got, 2) <= 1e-12 * max(1.0, operator_norm(m)) ** (n - 1)
 
 
