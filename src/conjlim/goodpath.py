@@ -121,12 +121,7 @@ class GoodPath:
 
     def at(self, t: float) -> np.ndarray:
         """Path value ``base + sum_k t^k E_k``."""
-        out = self.base.astype(np.complex128, copy=True)
-        tk = 1.0
-        for e in self.path_coeffs:
-            tk *= t
-            out += tk * e
-        return out
+        return poly_eval(self.base, self.path_coeffs, [t])[0]
 
     def inverse_at(self, t: float) -> np.ndarray:
         """Truncated Laurent inverse ``pole/t + sum_j t^j C_j``."""
@@ -186,7 +181,12 @@ class GoodPath:
     def validate(self, residual_tol: float = 1e-8) -> None:
         """Raise :class:`NotAGoodPathError` unless every coefficient residual
         is below ``residual_tol`` scaled by the coefficient norms and the
-        pole annihilates the base within the stored tolerance."""
+        pole annihilates the base within the stored tolerance.
+
+        The residuals cannot see an error in the last series coefficient
+        ``C_N`` along directions X with ``ZX = XZ = 0``: ``C_N`` enters only
+        the ``t^N`` equation, and only through the base Z.
+        """
         scale = self.coefficient_scale()
         res = self.product_residuals()
         if float(res.max()) > residual_tol * scale:

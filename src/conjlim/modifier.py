@@ -22,9 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
-from .criteria import MembershipVerdict
+from .criteria import MembershipVerdict, _elementary
 from .numkit import (
     DEFAULT_TOL,
     ConjlimError,
@@ -151,18 +150,22 @@ class Modifier:
 
 
 def apply(phi: Modifier, a) -> np.ndarray:
-    """Apply the modifier: identity, entrywise product, or vectorized map."""
-    m = as_square(a, "A")
-    if m.shape[0] != phi.dim:
-        raise InvalidInputError(
-            f"modifier dimension {phi.dim} does not match matrix {m.shape}"
-        )
+    """Apply the modifier to one matrix or to a stack of matrices on the last
+    two axes: identity, entrywise product, or vectorized map."""
+    m = np.asarray(a, dtype=np.complex128)
+    n = phi.dim
+    if m.shape[-2:] != (n, n):
+        raise InvalidInputError(f"modifier dimension {n} does not match matrix {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise InvalidInputError("A contains non-finite entries")
     if phi.kind == "identity":
         return m.copy()
     if phi.kind == "hadamard":
         return phi.data * m
-    vec = m.reshape(-1, order="F")
-    return (phi.data @ vec).reshape((phi.dim, phi.dim), order="F")
+    # column-stacked vec of each matrix, as rows: vec(M) = M^T flattened
+    lead = m.shape[:-2]
+    vecs = m.swapaxes(-1, -2).reshape(lead + (n * n,))
+    return (vecs @ phi.data.T).reshape(lead + (n, n)).swapaxes(-1, -2)
 
 
 def _pole_factor_bases(Z: np.ndarray, tol: Tolerance):
@@ -267,12 +270,6 @@ class FaithfulnessReport:
     faithful: bool
     counterexample: np.ndarray | None
     exact: bool
-
-
-def _elementary(n: int, i: int, j: int) -> np.ndarray:
-    e = np.zeros((n, n), dtype=np.complex128)
-    e[i, j] = 1.0
-    return e
 
 
 def nilpotent_faithful(
@@ -437,12 +434,15 @@ def conjugation_family_bound(
         if b.shape != (n, n):
             raise InvalidInputError("family members must share one shape")
 
+    # scipy.optimize takes most of the package's import time; load it here
+    from scipy.optimize import linear_sum_assignment
+
     ref = np.sort_complex(np.linalg.eigvals(family[0]))
     ref_scale = max(1.0, operator_norm(family[0]))
     for b in family[1:]:
         eigs = np.linalg.eigvals(b)
         cost = np.abs(ref[:, None] - eigs[None, :])
-        rows, cols = scipy.optimize.linear_sum_assignment(cost)
+        rows, cols = linear_sum_assignment(cost)
         if float(cost[rows, cols].max()) > eig_tol * ref_scale:
             raise ConjugationFamilyError(
                 f"eigenvalues differ by {cost[rows, cols].max():.3e}; "

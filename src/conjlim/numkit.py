@@ -118,11 +118,6 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     return x
 
 
-def same_shape(a: np.ndarray, b: np.ndarray, what: str = "matrices") -> None:
-    if a.shape != b.shape:
-        raise InvalidInputError(f"{what} must have equal shapes: {a.shape} vs {b.shape}")
-
-
 def operator_norm(m) -> float:
     """Largest singular value of ``m`` (operator 2-norm)."""
     a = as_matrix(m)

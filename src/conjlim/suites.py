@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import criteria, goodpath, modifier, pathsim
-from .numkit import ConjlimError, ginibre, operator_norm, random_singular
+from .numkit import ConjlimError, ginibre, operator_norm, poly_eval, random_singular
 
 __all__ = ["SuiteCase", "SuiteReport", "UnknownSuiteError", "run_suite", "SUITE_IDS"]
 
@@ -505,11 +505,8 @@ def _suite_appendix_a(seed: int, config: dict | None) -> list[SuiteCase]:
     z = random_singular(3, 2, rng)
     gp = goodpath.construct_good_path(z, order=2)
     member = _member_of_kernel_algebra(z, rng)
-    conj_family = []
-    for t in np.geomspace(1e-1, 1e-5, 9):
-        u = gp.at(float(t))
-        conj_family.append(u @ member @ np.linalg.inv(u))
-    bounded = modifier.conjugation_family_bound(conj_family)
+    us = poly_eval(gp.base, gp.path_coeffs, np.geomspace(1e-1, 1e-5, 9))
+    bounded = modifier.conjugation_family_bound(us @ member @ np.linalg.inv(us))
     member_ok = bounded.ok and not bounded.vacuous
 
     return [

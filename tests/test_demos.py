@@ -3,17 +3,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_simple_pole_paths_demo_runs():
-    # the one demo that calls laurent_inverse, rejection branch included
+# 02 calls laurent_inverse, rejection branch included; 03 drives simulate on
+# linear, polynomial and good paths.  05 is left out: it takes about 14 s.
+@pytest.mark.parametrize("demo", ["02_simple_pole_paths.py", "03_growth_along_paths.py"])
+def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / "02_simple_pole_paths.py")],
+        [sys.executable, str(ROOT / "demos" / demo)],
         cwd=ROOT,
         env=env,
         capture_output=True,

@@ -74,6 +74,41 @@ class TestApply:
             assert np.allclose(apply(phi, a), via_op, atol=1e-12)
 
 
+class TestApplyStack:
+    def modifiers(self, n, rng):
+        return (
+            Modifier.identity(n),
+            Modifier.delete_diagonal(n),
+            Modifier.hadamard(ginibre(n, rng=rng)),
+            Modifier.general(ginibre(n * n, rng=rng)),
+        )
+
+    def test_stack_matches_slices(self):
+        rng = np.random.default_rng(11)
+        for n in (1, 3, 5):
+            stack = np.stack([ginibre(n, rng=rng) for _ in range(6)])
+            for phi in self.modifiers(n, rng):
+                out = apply(phi, stack)
+                assert out.shape == stack.shape
+                for m, o in zip(stack, out):
+                    assert np.allclose(o, apply(phi, m), rtol=1e-14, atol=1e-14)
+
+    def test_stack_rejects_nan(self):
+        rng = np.random.default_rng(12)
+        stack = np.stack([ginibre(3, rng=rng) for _ in range(4)])
+        stack[2, 1, 0] = np.nan
+        for phi in self.modifiers(3, rng):
+            with pytest.raises(InvalidInputError):
+                apply(phi, stack)
+
+    def test_stack_rejects_wrong_trailing_shape(self):
+        rng = np.random.default_rng(13)
+        stack = np.stack([ginibre(4, rng=rng) for _ in range(4)])
+        for phi in self.modifiers(3, rng):
+            with pytest.raises(InvalidInputError):
+                apply(phi, stack)
+
+
 class TestSomePathBounded:
     def test_corner_pattern_accepts_every_matrix(self):
         z, phi = corner_example()

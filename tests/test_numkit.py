@@ -18,6 +18,7 @@ from conjlim.numkit import (
     matrix_to_json,
     operator_norm,
     orthonormal_complement,
+    poly_eval,
     psd_sqrt,
     random_singular,
     random_unitary,
@@ -57,6 +58,23 @@ class TestOperatorNorm:
     def test_rejects_nonfinite(self):
         with pytest.raises(InvalidInputError):
             operator_norm(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+class TestPolyEval:
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    @pytest.mark.parametrize("complex_t", [False, True])
+    def test_matches_power_sum(self, degree, complex_t):
+        rng = np.random.default_rng(degree)
+        base = ginibre(4, rng=rng)
+        coeffs = [ginibre(4, rng=rng) for _ in range(degree)]
+        ts = rng.uniform(-2.0, 2.0, 7)
+        if complex_t:
+            ts = ts + 1j * rng.uniform(-2.0, 2.0, 7)
+        out = poly_eval(base, coeffs, ts)
+        assert out.shape == (7, 4, 4)
+        for t, u in zip(ts, out):
+            expected = base + sum(t ** (k + 1) * e for k, e in enumerate(coeffs))
+            assert np.allclose(u, expected, rtol=0.0, atol=1e-13)
 
 
 class TestTolerance:

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from conjlim.criteria import keeps_kernel_invariant, kernel_algebra_basis
 from conjlim.goodpath import InvalidPathError, construct_good_path
-from conjlim.modifier import Modifier
+from conjlim.modifier import Modifier, apply
 from conjlim.numkit import (
     InvalidInputError,
     ginibre,
@@ -159,6 +160,63 @@ class TestSimulate:
         report = simulate(path, unit(2, 0, 1), grid=grid)
         assert report.t_values.size == 13
         assert report.verdict == "divergent"
+
+
+class TestStackedSimulate:
+    # the grid stops at t = 1e-3 so that cond(U(t)) stays near 1e3 and the
+    # stacked solve and the reference inverse agree far below the tolerance
+    GRID = log_grid(1e-1, 1e-3, 9)
+
+    def reference_norms(self, mats, a, phi):
+        return np.array(
+            [np.linalg.norm(apply(phi, u @ a @ np.linalg.inv(u)), 2) for u in mats]
+        )
+
+    def power_sum(self, base, coeffs, t):
+        return base + sum(t ** (k + 1) * e for k, e in enumerate(coeffs))
+
+    def test_norms_match_per_point_reference(self):
+        rng = np.random.default_rng(21)
+        for n, rank in ((2, 1), (4, 2), (6, 5)):
+            z = random_singular(n, rank, rng)
+            a = ginibre(n, rng=rng)
+            coeffs = [ginibre(n, rng=rng) for _ in range(2)]
+            gp = construct_good_path(z)
+            mats = {
+                "polynomial": [self.power_sum(z, coeffs, t) for t in self.GRID],
+                "goodpath": [self.power_sum(gp.base, gp.path_coeffs, t) for t in self.GRID],
+            }
+            paths = {
+                "polynomial": MatrixPath.polynomial(z, coeffs),
+                "goodpath": MatrixPath.from_good_path(gp),
+                "samples": MatrixPath.from_samples(zip(self.GRID, mats["polynomial"])),
+            }
+            mats["samples"] = mats["polynomial"]
+            for phi in (
+                Modifier.identity(n),
+                Modifier.delete_diagonal(n),
+                Modifier.general(ginibre(n * n, rng=rng)),
+            ):
+                for kind, path in paths.items():
+                    report = simulate(path, a, phi, grid=self.GRID)
+                    assert np.array_equal(report.t_values, self.GRID)
+                    expected = self.reference_norms(mats[kind], a, phi)
+                    assert np.allclose(report.norms, expected, rtol=1e-10, atol=0.0), kind
+
+    def test_first_of_two_singular_grid_points_is_named(self):
+        grid = log_grid()
+        first, second = grid[5], grid[12]
+        # diag(t - first, t - second) vanishes exactly at both grid points
+        path = MatrixPath.linear(diag(-first, -second), np.eye(2))
+        with pytest.raises(PathSingularError, match=f"t = {re.escape(str(first))}$"):
+            simulate(path, unit(2, 0, 1), grid=grid)
+
+    def test_values_stack_and_missing_sample(self):
+        mats = [diag(1.0, t) for t in (0.5, 0.25)]
+        path = MatrixPath.from_samples([(0.25, mats[1]), (0.5, mats[0])])
+        assert np.array_equal(path.values([0.5, 0.25, 0.5]), np.stack([mats[0], mats[1], mats[0]]))
+        with pytest.raises(InvalidInputError, match="0.125"):
+            path.values([0.5, 0.125])
 
 
 class TestRankOneProbe:
