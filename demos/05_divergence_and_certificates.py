@@ -28,7 +28,8 @@ z = random_singular(3, 2, rng)
 generic = ginibre(3, rng=rng)
 out = divergence_search(generic, z, radius=0.1, budget=10_000, seed=0, stop_at=1e6)
 print(f"generic A at a singular base: best norm {out.norm:.2e} "
-      f"after {out.evaluations} evaluations")
+      f"after {out.evaluations} evaluations ({out.rejected} candidates rejected, "
+      f"{out.restarts} starts)")
 
 basis = kernel_algebra_basis(z)
 w = ginibre(len(basis), 1, rng).reshape(-1)

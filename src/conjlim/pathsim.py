@@ -140,9 +140,13 @@ class MatrixPath:
         return np.stack([self.samples[j][1] for j in hits.argmax(axis=1)])
 
     def grid(self, default: np.ndarray | None = None) -> np.ndarray:
+        """``default`` when given, else the sample parameters of a samples
+        path and :func:`log_grid` for the other kinds."""
+        if default is not None:
+            return np.asarray(default, dtype=float)
         if self.kind == "samples":
             return np.array([t for t, _ in self.samples])
-        return log_grid() if default is None else np.asarray(default, dtype=float)
+        return log_grid()
 
 
 @dataclass(frozen=True)
@@ -269,11 +273,18 @@ def simulate(
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """Best invertible perturbation found by :func:`divergence_search`."""
+    """Best invertible perturbation found by :func:`divergence_search`.
+
+    ``evaluations`` counts objective values computed, ``rejected`` the
+    candidates refused by the ball test, the singularity gate or the solve,
+    and ``restarts`` the random starts drawn.
+    """
 
     matrix: np.ndarray | None
     norm: float
     evaluations: int
+    rejected: int
+    restarts: int
 
 
 def divergence_search(
@@ -294,8 +305,17 @@ def divergence_search(
     then local ascent whose moves shrink the smallest singular value of the
     current iterate (steering it toward a nearby singular matrix whose
     kernel the conjugation violates) and kick it with rank-one probes
-    ``x y^H``.  The budget counts objective evaluations; ``stop_at`` allows
-    early exit once a caller threshold is certified.
+    ``x y^H``.  Every move is clamped to ``0.9 (radius - ||U - Z||)``, so by
+    the triangle inequality each candidate lies inside the ball; the exact
+    ball test still checks it.  The full SVD a candidate takes for the
+    singularity gate is kept, and an accepted candidate hands it and its
+    distance to Z on to the next step, whose moves it sizes.
+
+    The budget counts objective evaluations.  Every ascent step scores at
+    most three candidates and computes at least one objective value unless
+    the singularity gate or the solve refuses its first candidate, so the
+    budget bounds the work.  ``stop_at`` allows early exit once a caller
+    threshold is certified.
 
     For a singular Z and non-scalar A the supremum is infinite and the
     search certifies this empirically by exceeding any threshold; scalar A
@@ -308,6 +328,8 @@ def divergence_search(
         raise InvalidInputError("A and Z must have equal shapes")
     if radius <= 0:
         raise InvalidInputError(f"radius must be positive, got {radius}")
+    if budget < 1:
+        raise InvalidInputError(f"budget must be at least 1, got {budget}")
     n = Z.shape[0]
     if phi is None:
         phi = Modifier.identity(n)
@@ -319,82 +341,86 @@ def divergence_search(
     if operator_norm(A - mu * np.eye(n)) <= 1e-13 * max(1.0, abs(mu), operator_norm(A)):
         # conjugation fixes scalars: objective is constant
         start = Z + (radius / 2.0) * np.eye(n)
-        return SearchOutcome(start, operator_norm(apply(phi, A)), 0)
+        return SearchOutcome(start, operator_norm(apply(phi, A)), 0, 0, 0)
 
-    evals = 0
+    evals = rejected = restarts = 0
     best_val = -np.inf
     best_mat: np.ndarray | None = None
 
-    def valid(u: np.ndarray) -> bool:
-        if operator_norm(u - Z) >= radius:
-            return False
-        sv = np.linalg.svd(u, compute_uv=False)
-        return sv[-1] > 1e-12 * max(1.0, float(sv[0]))
-
-    def value(u: np.ndarray) -> float | None:
-        nonlocal evals, best_val, best_mat
-        if not valid(u):
+    def value(u: np.ndarray):
+        """``(objective, ||u - Z||, svd(u))``, or None for a refused u."""
+        nonlocal evals, rejected, best_val, best_mat
+        d = operator_norm(u - Z)
+        if d >= radius:
+            rejected += 1
             return None
-        evals += 1
+        svd = np.linalg.svd(u)
+        ss = svd[1]
+        if ss[-1] <= 1e-12 * max(1.0, float(ss[0])):
+            rejected += 1
+            return None
         try:
             b = _conjugate(u, A)
         except np.linalg.LinAlgError:
+            rejected += 1
             return None
+        evals += 1
         val = operator_norm(apply(phi, b))
         if val > best_val:
             best_val, best_mat = val, u.copy()
-        return val
+        return val, d, svd
 
-    def random_start() -> np.ndarray | None:
+    def random_start() -> np.ndarray:
+        # the first of 8 draws with sigma_min >= 0.05 delta, else the one
+        # with the largest sigma_min / delta
+        nonlocal restarts
+        restarts += 1
+        best, best_ratio = None, -np.inf
         for _ in range(8):
             g = ginibre(n, rng=rng)
             g /= operator_norm(g)
             delta = radius * rng.uniform(0.2, 0.6)
             u = Z + delta * g
-            sv = np.linalg.svd(u, compute_uv=False)
-            if sv[-1] >= 0.05 * delta:
+            ratio = np.linalg.svd(u, compute_uv=False)[-1] / delta
+            if ratio >= 0.05:
                 return u
-        return None
+            if ratio > best_ratio:
+                best, best_ratio = u, ratio
+        return best
 
     def done() -> bool:
         return evals >= budget or (stop_at is not None and best_val >= stop_at)
 
     while not done():
         u = random_start()
-        if u is None:
-            break
-        cur = value(u)
-        if cur is None:
+        scored = value(u)
+        if scored is None:
             continue
+        cur, d, (uu, ss, vv) = scored
         stall = 0
         while not done() and stall < 25:
-            uu, ss, vv = np.linalg.svd(u)
-            shrunk = ss.copy()
-            shrunk[-1] *= 0.25
-            candidates = [(uu * shrunk) @ vv]
+            slack = 0.9 * (radius - d)
+            drop = min(0.75 * float(ss[-1]), slack)
+            candidates = [u - drop * np.outer(uu[:, -1], vv[-1])]
             for _ in range(2):
-                x = as_vector(ginibre(n, 1, rng).reshape(-1))
-                y = as_vector(ginibre(n, 1, rng).reshape(-1))
+                x = ginibre(n, 1, rng)[:, 0]
+                y = ginibre(n, 1, rng)[:, 0]
                 x /= np.linalg.norm(x)
                 y /= np.linalg.norm(y)
                 eps = float(ss[-1]) * rng.uniform(0.3, 1.5) + 1e-3 * radius * rng.uniform()
-                candidates.append(u + eps * np.outer(x, y.conj()))
+                candidates.append(u + min(eps, slack) * np.outer(x, y.conj()))
             improved = False
             for cand in candidates:
-                val = value(cand)
+                scored = value(cand)
                 if done():
                     break
-                if val is not None and val > cur * (1.0 + 1e-6):
-                    u, cur = cand, val
+                if scored is not None and scored[0] > cur * (1.0 + 1e-6):
+                    u, (cur, d, (uu, ss, vv)) = cand, scored
                     improved = True
                     break
             stall = 0 if improved else stall + 1
 
-    if best_mat is None:
-        for fallback in (Z + (radius / 2.0) * np.eye(n), Z + (radius / 2.0) * np.eye(n) * 1j):
-            if value(fallback) is not None:
-                break
-    return SearchOutcome(best_mat, float(best_val), evals)
+    return SearchOutcome(best_mat, float(best_val), evals, rejected, restarts)
 
 
 def rank_one_probe(x, y) -> np.ndarray:

@@ -9,8 +9,16 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 # 02 calls laurent_inverse, rejection branch included; 03 drives simulate on
-# linear, polynomial and good paths.  05 is left out: it takes about 14 s.
-@pytest.mark.parametrize("demo", ["02_simple_pole_paths.py", "03_growth_along_paths.py"])
+# linear, polynomial and good paths; 05 runs divergence_search and
+# locality_probe at singular and invertible bases.
+@pytest.mark.parametrize(
+    "demo",
+    [
+        "02_simple_pole_paths.py",
+        "03_growth_along_paths.py",
+        "05_divergence_and_certificates.py",
+    ],
+)
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -218,6 +218,18 @@ class TestStackedSimulate:
         with pytest.raises(InvalidInputError, match="0.125"):
             path.values([0.5, 0.125])
 
+    def test_grid_point_without_a_sample_is_rejected(self):
+        path = MatrixPath.from_samples([(0.25, diag(1.0, 0.5))])
+        with pytest.raises(InvalidInputError, match="0.3"):
+            simulate(path, unit(2, 0, 1), grid=[0.3, 0.2])
+
+    def test_grid_subset_of_the_samples_evaluates_only_those(self):
+        ts = (0.5, 0.25, 0.125, 0.0625)
+        path = MatrixPath.from_samples((t, diag(1.0, t)) for t in ts)
+        report = simulate(path, unit(2, 0, 1), grid=[0.5, 0.125, 0.0625])
+        assert np.array_equal(report.t_values, [0.5, 0.125, 0.0625])
+        assert np.allclose(report.norms, [2.0, 8.0, 16.0], rtol=1e-12)
+
 
 class TestRankOneProbe:
     def test_elementary(self):
@@ -470,6 +482,43 @@ class TestDivergenceSearch:
         z = random_singular(3, 1, rng)
         out = divergence_search(ginibre(3, rng=rng), z, radius=0.05, budget=2_000, seed=4)
         assert operator_norm(out.matrix - z) < 0.05
+
+    def test_budget_must_be_positive(self):
+        with pytest.raises(InvalidInputError, match="budget"):
+            divergence_search(unit(2, 0, 1), np.zeros((2, 2)), budget=0, seed=0)
+
+    def test_corank_heavy_base_is_not_starved(self):
+        # at n = 16 and rank 2 a random start rarely has sigma_min >= 0.05 delta;
+        # the best-conditioned draw must still start the ascent
+        rng = np.random.default_rng(16)
+        z = random_singular(16, 2, rng)
+        for k in range(6):
+            a = ginibre(16, rng=rng)
+            out = divergence_search(a, z, radius=0.1, budget=10_000, seed=k, stop_at=1e6)
+            assert out.norm > 1e6, k
+
+    def test_work_is_bounded_by_the_budget(self, monkeypatch):
+        # at an invertible base with a small radius every move must land in
+        # the ball, and each evaluation costs a bounded number of SVDs
+        calls = 0
+
+        def counting(svd):
+            def wrapped(*args, **kwargs):
+                nonlocal calls
+                calls += 1
+                return svd(*args, **kwargs)
+
+            return wrapped
+
+        # norm(., 2) calls the private module's svd, not numpy.linalg.svd
+        for module in (np.linalg, np.linalg._linalg):
+            monkeypatch.setattr(module, "svd", counting(module.svd))
+        a = ginibre(3, rng=np.random.default_rng(12))
+        out = divergence_search(a, np.eye(3), radius=0.025, budget=500, seed=0)
+        assert out.evaluations == 500
+        assert out.rejected == 0
+        assert out.restarts >= 1
+        assert calls <= 4 * out.evaluations
 
     def test_modifier_objective(self):
         out = divergence_search(
