@@ -26,6 +26,7 @@ from .numkit import (
     InvalidInputError,
     Tolerance,
     as_square,
+    as_square_like,
     image_basis,
     kernel_basis,
     operator_norm,
@@ -81,10 +82,7 @@ class MembershipVerdict:
 
 def _pair(a, z):
     A = as_square(a, "A")
-    Z = as_square(z, "Z")
-    if A.shape != Z.shape:
-        raise InvalidInputError(f"size mismatch: A is {A.shape}, Z is {Z.shape}")
-    return A, Z
+    return A, as_square_like(A, z, "Z")
 
 
 def _invariance_verdict(defect: np.ndarray, columns: np.ndarray, threshold: float) -> MembershipVerdict:
@@ -139,11 +137,16 @@ def _check_pole_pair(Z: np.ndarray, C: np.ndarray, tol: Tolerance) -> None:
         )
 
 
-def _pole_verdict(product: np.ndarray, threshold: float) -> MembershipVerdict:
+def _pole_term(a, z, c, tol: Tolerance, dual: bool) -> MembershipVerdict:
+    A, Z = _pair(a, z)
+    C = as_square_like(Z, c, "C")
+    _check_pole_pair(Z, C, tol)
+    threshold = tol.residual_scale(operator_norm(Z) * operator_norm(A) * operator_norm(C))
+    product = C @ A @ Z if dual else Z @ A @ C
     residual = float(np.linalg.norm(product, 2))
     if residual <= threshold:
         return MembershipVerdict(True, residual, None, threshold)
-    return MembershipVerdict(False, residual, product.copy(), threshold)
+    return MembershipVerdict(False, residual, product, threshold)
 
 
 def pole_term_vanishes(a, z, c, tol: Tolerance = DEFAULT_TOL) -> MembershipVerdict:
@@ -152,24 +155,12 @@ def pole_term_vanishes(a, z, c, tol: Tolerance = DEFAULT_TOL) -> MembershipVerdi
     Requires ``ZC = CZ = 0`` (raises :class:`PoleConditionError` otherwise).
     On failure the witness is the nonzero product ``ZAC``.
     """
-    A, Z = _pair(a, z)
-    C = as_square(c, "C")
-    if C.shape != Z.shape:
-        raise InvalidInputError(f"size mismatch: C is {C.shape}, Z is {Z.shape}")
-    _check_pole_pair(Z, C, tol)
-    threshold = tol.residual_scale(operator_norm(Z) * operator_norm(A) * operator_norm(C))
-    return _pole_verdict(Z @ A @ C, threshold)
+    return _pole_term(a, z, c, tol, dual=False)
 
 
 def pole_term_vanishes_dual(a, z, c, tol: Tolerance = DEFAULT_TOL) -> MembershipVerdict:
     """Dual form: does ``C A Z`` vanish?  Same precondition as the primal."""
-    A, Z = _pair(a, z)
-    C = as_square(c, "C")
-    if C.shape != Z.shape:
-        raise InvalidInputError(f"size mismatch: C is {C.shape}, Z is {Z.shape}")
-    _check_pole_pair(Z, C, tol)
-    threshold = tol.residual_scale(operator_norm(Z) * operator_norm(A) * operator_norm(C))
-    return _pole_verdict(C @ A @ Z, threshold)
+    return _pole_term(a, z, c, tol, dual=True)
 
 
 def kernel_algebra_dim(n: int, m: int) -> int:
@@ -226,10 +217,7 @@ def conjugate_family(mats, p, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
         raise SingularMatrixError(f"conjugating matrix is singular: sigma_min={s[-1]:.3e}")
     out = []
     for b in mats:
-        B = as_square(b, "family member")
-        if B.shape != P.shape:
-            raise InvalidInputError("family member size does not match p")
-        out.append(np.linalg.solve(P, B @ P))
+        out.append(np.linalg.solve(P, as_square_like(P, b, "family member") @ P))
     return out
 
 

@@ -20,13 +20,16 @@ from .numkit import (
     ConjlimError,
     InvalidInputError,
     Tolerance,
+    _svd_rank,
     as_square,
+    as_square_like,
     image_basis,
     kernel_basis,
     matrix_from_json,
     matrix_to_json,
     operator_norm,
     poly_eval,
+    singular,
     subspace_equal,
     subspace_intersection,
 )
@@ -93,13 +96,9 @@ class GoodPath:
 
     def __post_init__(self):
         base = as_square(self.base, "base")
-        n = base.shape[0]
-        coeffs = tuple(as_square(e, "path coefficient") for e in self.path_coeffs)
-        series = tuple(as_square(c, "inverse coefficient") for c in self.inverse_series)
-        pole = as_square(self.inverse_pole, "inverse pole")
-        for m in coeffs + series + (pole,):
-            if m.shape != (n, n):
-                raise InvalidInputError("all path data must share the base shape")
+        coeffs = tuple(as_square_like(base, e, "path coefficient") for e in self.path_coeffs)
+        series = tuple(as_square_like(base, c, "inverse coefficient") for c in self.inverse_series)
+        pole = as_square_like(base, self.inverse_pole, "inverse pole")
         if self.order != len(series) - 1:
             raise InvalidInputError(
                 f"order {self.order} does not match series length {len(series)}"
@@ -250,8 +249,7 @@ def construct_good_path(z, tol: Tolerance = DEFAULT_TOL, order: int = 8) -> Good
     if order < 0:
         raise InvalidInputError(f"order must be nonnegative, got {order}")
     u, s, vh = np.linalg.svd(Z)
-    smax = float(s[0]) if s.size else 0.0
-    rank = int(np.count_nonzero(s > tol.rank_rel * smax)) if smax > 0 else 0
+    rank = _svd_rank(s, tol.rank_rel)
     unitary = u @ vh
     v = vh.conj().T
     v_ker = v[:, rank:]
@@ -290,17 +288,13 @@ def laurent_inverse(z, coeffs, order: int = 8, tol: Tolerance = DEFAULT_TOL):
     """
     Z = as_square(z, "Z")
     n = Z.shape[0]
-    es = [as_square(e, "path coefficient") for e in coeffs]
-    for e in es:
-        if e.shape != (n, n):
-            raise InvalidInputError("path coefficients must match the base shape")
+    es = [as_square_like(Z, e, "path coefficient") for e in coeffs]
     if order < 0:
         raise InvalidInputError(f"order must be nonnegative, got {order}")
 
-    sv = np.linalg.svd(poly_eval(Z, es, _SAMPLE_TS), compute_uv=False)
-    singular = sv[:, -1] <= 1e-13 * np.maximum(1.0, sv[:, 0])
-    if singular.any():
-        t = _SAMPLE_TS[int(np.argmax(singular))]
+    gate = singular(np.linalg.svd(poly_eval(Z, es, _SAMPLE_TS), compute_uv=False))
+    if gate.any():
+        t = _SAMPLE_TS[int(np.argmax(gate))]
         raise InvalidPathError(f"path is singular at sampled t = {t}")
 
     blocks = order + 3  # D_0 .. D_{order+2}
@@ -328,9 +322,7 @@ def is_pole_coefficient(c, z, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff ``im(C) = ker(Z)`` and ``im(Z) = ker(C)`` — exactly the
     matrices arising as the pole of some simple-pole path to Z."""
     C = as_square(c, "C")
-    Z = as_square(z, "Z")
-    if C.shape != Z.shape:
-        raise InvalidInputError("C and Z must have equal shapes")
+    Z = as_square_like(C, z, "Z")
     if not subspace_equal(image_basis(C, tol), kernel_basis(Z, tol), tol):
         return False
     return subspace_equal(image_basis(Z, tol), kernel_basis(C, tol), tol)
@@ -371,10 +363,8 @@ def rigidity_index(e0, coeffs, tol: Tolerance = DEFAULT_TOL) -> int:
     k0 = kernel_basis(E0, tol)
     if k0.dim == 0:
         return 1
-    es = [as_square(e, "coefficient") for e in coeffs]
+    es = [as_square_like(E0, e, "coefficient") for e in coeffs]
     for idx, e in enumerate(es, start=1):
-        if e.shape != E0.shape:
-            raise InvalidInputError("coefficients must match the base shape")
         kn = kernel_basis(e, tol)
         if subspace_intersection(k0, kn, tol).dim == 0:
             return idx

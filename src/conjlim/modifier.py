@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .criteria import MembershipVerdict, _elementary
+from .criteria import MembershipVerdict, _elementary, _pair
 from .numkit import (
     DEFAULT_TOL,
     ConjlimError,
@@ -168,27 +168,19 @@ def apply(phi: Modifier, a) -> np.ndarray:
     return (vecs @ phi.data.T).reshape(lead + (n, n)).swapaxes(-1, -2)
 
 
-def _pole_factor_bases(Z: np.ndarray, tol: Tolerance):
-    """Orthonormal bases K of ker(Z) and L of im(Z)^perp = ker(Z^H).
-
-    Every C with im(C) = ker(Z), ker(C) = im(Z) is K X L^H, X invertible.
-    """
-    k_basis = kernel_basis(Z, tol).basis
-    l_basis = kernel_basis(Z.conj().T, tol).basis
-    return k_basis, l_basis
-
-
 def _membership_existential(
     a, z, phi: Modifier, tol: Tolerance, seed, draws: int, dual: bool
 ) -> MembershipVerdict:
-    A = as_square(a, "A")
-    Z = as_square(z, "Z")
-    if A.shape != Z.shape:
-        raise InvalidInputError(f"size mismatch: A is {A.shape}, Z is {Z.shape}")
+    A, Z = _pair(a, z)
     n = Z.shape[0]
     if phi.dim != n:
         raise InvalidInputError("modifier dimension does not match the matrices")
-    kb, lb = _pole_factor_bases(Z, tol)
+    if draws < 1:
+        raise InvalidInputError(f"draws must be at least 1, got {draws}")
+    # every C with im(C) = ker(Z), ker(C) = im(Z) is K X L^H with X
+    # invertible, for orthonormal bases K of ker(Z) and L of ker(Z^H)
+    kb = kernel_basis(Z, tol).basis
+    lb = kernel_basis(Z.conj().T, tol).basis
     k = kb.shape[1]
     threshold = tol.residual_scale(
         operator_norm(Z) * operator_norm(A)
@@ -245,7 +237,8 @@ def some_path_bounded(
     with ``phi(Z A C) = 0``.  The verdict's witness is the companion found on
     success; on failure it is the most-invertible candidate sampled, with
     ``residual`` holding its relative invertibility margin.  A false verdict
-    is correct with probability 1; seeds make it reproducible.
+    is correct with probability 1 after ``draws >= 1`` samples; seeds make it
+    reproducible.
     """
     return _membership_existential(a, z, phi, tol, seed, draws, dual=False)
 

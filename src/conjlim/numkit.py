@@ -21,10 +21,13 @@ __all__ = [
     "DEFAULT_TOL",
     "as_matrix",
     "as_square",
+    "as_square_like",
     "as_vector",
     "operator_norm",
     "poly_eval",
     "rank_of",
+    "SINGULAR_REL",
+    "singular",
     "Subspace",
     "kernel_basis",
     "image_basis",
@@ -109,6 +112,14 @@ def as_square(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def as_square_like(ref: np.ndarray, m, name: str = "matrix") -> np.ndarray:
+    """Validate ``m`` as a square matrix with the shape of ``ref``."""
+    out = as_square(m, name)
+    if out.shape != ref.shape:
+        raise InvalidInputError(f"{name} must have shape {ref.shape}, got {out.shape}")
+    return out
+
+
 def as_vector(v, name: str = "vector") -> np.ndarray:
     x = np.asarray(v, dtype=np.complex128).reshape(-1)
     if x.size == 0:
@@ -135,6 +146,19 @@ def poly_eval(base: np.ndarray, coeffs, ts) -> np.ndarray:
     for e in reversed(coeffs):
         out = t * (out + e)
     return out + base
+
+
+#: A matrix counts as singular when ``sigma_min <= SINGULAR_REL * max(1,
+#: sigma_max)``.  The gate sits just above machine precision so that
+#: legitimately near-singular points (the interesting regime for divergence)
+#: still get evaluated.
+SINGULAR_REL = 1e-13
+
+
+def singular(s: np.ndarray):
+    """Singularity gate on descending singular values ``s``: one vector, or a
+    stack on the last axis (one verdict per matrix)."""
+    return s[..., -1] <= SINGULAR_REL * np.maximum(1.0, s[..., 0])
 
 
 def _svd_rank(s: np.ndarray, rank_rel: float) -> int:
@@ -202,10 +226,7 @@ class Subspace:
     @staticmethod
     def from_span(vectors, tol: Tolerance = DEFAULT_TOL) -> "Subspace":
         """Orthonormalize the columns of ``vectors`` (rank-revealing)."""
-        m = as_matrix(vectors, "span")
-        u, s, _ = np.linalg.svd(m, full_matrices=False)
-        r = _svd_rank(s, tol.rank_rel)
-        return Subspace(u[:, :r], tol)
+        return image_basis(vectors, tol)
 
     @staticmethod
     def zero(ambient_dim: int, tol: Tolerance = DEFAULT_TOL) -> "Subspace":

@@ -6,10 +6,11 @@ polynomial-path boundedness test via adjugate/determinant degrees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .criteria import MembershipVerdict, _invariance_verdict, _pair
 from .goodpath import GoodPath, InvalidPathError
 from .modifier import Modifier, apply
 from .numkit import (
@@ -19,11 +20,13 @@ from .numkit import (
     Subspace,
     Tolerance,
     as_square,
+    as_square_like,
     as_vector,
     ginibre,
     kernel_basis,
     operator_norm,
     poly_eval,
+    singular,
     subspace_intersection,
 )
 
@@ -73,37 +76,30 @@ def log_grid(t_max: float = 1e-1, t_min: float = 1e-6, count: int = 26) -> np.nd
 class MatrixPath:
     """A path of matrices parametrized by small ``t > 0``.
 
-    Kinds: ``linear`` (one coefficient), ``polynomial`` (finitely many),
-    ``goodpath`` (a :class:`~conjlim.goodpath.GoodPath`'s forward path) and
-    ``samples`` (an explicit list of ``(t, U)`` pairs).
+    Kinds: ``polynomial`` (``base + sum_k t^k coeffs[k-1]``; also built by
+    :meth:`linear` and, from a :class:`~conjlim.goodpath.GoodPath`'s forward
+    path, by :meth:`from_good_path`) and ``samples`` (an explicit list of
+    ``(t, U)`` pairs).
     """
 
     kind: str
     base: np.ndarray | None = None
     coeffs: tuple[np.ndarray, ...] = ()
     samples: tuple[tuple[float, np.ndarray], ...] = ()
-    source: GoodPath | None = field(default=None, compare=False)
 
     @staticmethod
     def linear(z, e) -> "MatrixPath":
-        Z = as_square(z, "Z")
-        E = as_square(e, "E")
-        if E.shape != Z.shape:
-            raise InvalidInputError("path coefficient must match the base shape")
-        return MatrixPath(kind="linear", base=Z, coeffs=(E,))
+        return MatrixPath.polynomial(z, (e,))
 
     @staticmethod
     def polynomial(z, coeffs) -> "MatrixPath":
         Z = as_square(z, "Z")
-        es = tuple(as_square(e, "path coefficient") for e in coeffs)
-        for e in es:
-            if e.shape != Z.shape:
-                raise InvalidInputError("path coefficients must match the base shape")
+        es = tuple(as_square_like(Z, e, "path coefficient") for e in coeffs)
         return MatrixPath(kind="polynomial", base=Z, coeffs=es)
 
     @staticmethod
     def from_good_path(gp: GoodPath) -> "MatrixPath":
-        return MatrixPath(kind="goodpath", base=gp.base, coeffs=gp.path_coeffs, source=gp)
+        return MatrixPath(kind="polynomial", base=gp.base, coeffs=gp.path_coeffs)
 
     @staticmethod
     def from_samples(pairs) -> "MatrixPath":
@@ -186,16 +182,6 @@ def _conjugate(u: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.linalg.solve(u.swapaxes(-1, -2), (u @ a).swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
-def _fit_window(ts: np.ndarray, logs: np.ndarray):
-    t_min = ts.min()
-    mask = ts <= t_min * 10.0 * (1.0 + 1e-12)
-    if mask.sum() < 3:
-        order = np.argsort(ts)
-        mask = np.zeros(ts.size, dtype=bool)
-        mask[order[: min(3, ts.size)]] = True
-    return np.log(ts[mask]), logs[mask]
-
-
 def simulate(
     path: MatrixPath,
     a,
@@ -211,11 +197,9 @@ def simulate(
     conjugates, one modifier application and one batched norm.
 
     Raises :class:`PathSingularError` if the path is singular at a grid
-    point, naming the first such t in grid order; the gate sits just above
-    machine precision so that legitimately near-singular points — the
-    interesting regime for divergence — still get evaluated.  Near-constant
-    windows are treated as perfect bounded fits; identically vanishing norms
-    report ``alpha = 0``.
+    point under :func:`~conjlim.numkit.singular`, naming the first such t in
+    grid order.  Near-constant windows are treated as perfect bounded fits;
+    norms vanishing over the smallest decade report ``alpha = 0``.
     """
     A = as_square(a, "A")
     n = A.shape[0]
@@ -225,17 +209,20 @@ def simulate(
         phi = Modifier.identity(n)
     ts = path.grid(grid)
     us = path.values(ts)
-    sv = np.linalg.svd(us, compute_uv=False)
-    singular = sv[:, -1] <= 1e-13 * np.maximum(1.0, sv[:, 0])
-    if singular.any():
-        raise PathSingularError(f"path is singular at grid point t = {ts[singular.argmax()]}")
+    gate = singular(np.linalg.svd(us, compute_uv=False))
+    if gate.any():
+        raise PathSingularError(f"path is singular at grid point t = {ts[gate.argmax()]}")
     norms = np.linalg.svd(apply(phi, _conjugate(us, A)), compute_uv=False)[:, 0]
 
-    floor = 1e-300
-    logs = np.log(np.maximum(norms, floor))
-    lt, ln = _fit_window(ts, logs)
+    # fit on the smallest decade, widened to the three smallest points when
+    # the decade holds fewer
+    decade = ts <= ts.min() * 10.0 * (1.0 + 1e-12)
+    window = decade.copy()
+    if window.sum() < 3:
+        window[np.argsort(ts)[:3]] = True
+    lt, ln = np.log(ts[window]), np.log(np.maximum(norms[window], 1e-300))
 
-    if np.all(norms[ts <= ts.min() * 10.0 * (1 + 1e-12)] < 1e-150):
+    if np.all(norms[decade] < 1e-150):
         alpha, r2 = 0.0, 1.0
     else:
         fit = np.polyfit(lt, ln, 1)
@@ -314,18 +301,16 @@ def divergence_search(
     The budget counts objective evaluations.  Every ascent step scores at
     most three candidates and computes at least one objective value unless
     the singularity gate or the solve refuses its first candidate, so the
-    budget bounds the work.  ``stop_at`` allows early exit once a caller
-    threshold is certified.
+    budget bounds the work.  It also bounds the number of random starts, so
+    a search whose every start is refused still returns.  ``stop_at`` allows
+    early exit once a caller threshold is certified.
 
     For a singular Z and non-scalar A the supremum is infinite and the
     search certifies this empirically by exceeding any threshold; scalar A
     short-circuits, since conjugation fixes it and the objective is the
     constant ``||phi(A)||``.
     """
-    A = as_square(a, "A")
-    Z = as_square(z, "Z")
-    if A.shape != Z.shape:
-        raise InvalidInputError("A and Z must have equal shapes")
+    A, Z = _pair(a, z)
     if radius <= 0:
         raise InvalidInputError(f"radius must be positive, got {radius}")
     if budget < 1:
@@ -355,8 +340,7 @@ def divergence_search(
             rejected += 1
             return None
         svd = np.linalg.svd(u)
-        ss = svd[1]
-        if ss[-1] <= 1e-12 * max(1.0, float(ss[0])):
+        if singular(svd[1]):
             rejected += 1
             return None
         try:
@@ -391,7 +375,7 @@ def divergence_search(
     def done() -> bool:
         return evals >= budget or (stop_at is not None and best_val >= stop_at)
 
-    while not done():
+    while not done() and restarts < budget:
         u = random_start()
         scored = value(u)
         if scored is None:
@@ -494,8 +478,6 @@ def preserves_filtration(a, filtration: Filtration, tol: Tolerance = DEFAULT_TOL
     Returns a :class:`~conjlim.criteria.MembershipVerdict`; the witness on
     failure is the first basis vector of the first violated space.
     """
-    from .criteria import MembershipVerdict
-
     A = as_square(a, "A")
     n = A.shape[0]
     if filtration.ambient_dim != n:
@@ -507,13 +489,10 @@ def preserves_filtration(a, filtration: Filtration, tol: Tolerance = DEFAULT_TOL
         if space.dim in (0, n):
             continue
         defect = (eye - space.projector()) @ A @ space.basis
-        residual = float(np.linalg.norm(defect, 2))
-        worst = max(worst, residual)
-        if residual > threshold:
-            cols = np.linalg.norm(defect, axis=0)
-            above = np.nonzero(cols > threshold)[0]
-            j = int(above[0]) if above.size else int(np.argmax(cols))
-            return MembershipVerdict(False, residual, space.basis[:, j].copy(), threshold)
+        verdict = _invariance_verdict(defect, space.basis, threshold)
+        if not verdict.member:
+            return verdict
+        worst = max(worst, verdict.residual)
     return MembershipVerdict(True, worst, None, threshold)
 
 
@@ -566,13 +545,8 @@ def polynomial_growth_degrees(z, coeffs, a, tol: Tolerance = DEFAULT_TOL):
     the determinant, at or below the rounding level of its samples.
     """
     Z = as_square(z, "Z")
-    A = as_square(a, "A")
-    es = [as_square(e, "path coefficient") for e in coeffs]
-    for e in es:
-        if e.shape != Z.shape:
-            raise InvalidInputError("path coefficients must match the base shape")
-    if A.shape != Z.shape:
-        raise InvalidInputError("A must match the base shape")
+    A = as_square_like(Z, a, "A")
+    es = [as_square_like(Z, e, "path coefficient") for e in coeffs]
     det_coeffs, prod_coeffs, det_noise = _poly_samples(Z, es, A)
 
     def lowest(arr: np.ndarray, floor: float = 0.0) -> int | None:
@@ -628,20 +602,19 @@ def locality_probe(
     """Falsifier for "every path to Z keeps ``phi(U A U^{-1})`` bounded".
 
     Boundedness along all paths at Z forces the same at every nearby base
-    point, so the probe samples base points Z' with ``||Z' - Z|| < r``
-    (starting with Z itself) and runs a divergence search around each; a
-    search exceeding ``threshold`` refutes the claim and the violating Z' is
-    returned as witness.
+    point, so the probe samples ``samples >= 1`` base points Z' with
+    ``||Z' - Z|| < r`` (starting with Z itself) and runs a divergence search
+    around each; a search exceeding ``threshold`` refutes the claim and the
+    violating Z' is returned as witness.
     """
-    A = as_square(a, "A")
-    Z = as_square(z, "Z")
-    if A.shape != Z.shape:
-        raise InvalidInputError("A and Z must have equal shapes")
+    A, Z = _pair(a, z)
     if r <= 0:
         raise InvalidInputError(f"radius must be positive, got {r}")
+    if samples < 1:
+        raise InvalidInputError(f"samples must be at least 1, got {samples}")
     n = Z.shape[0]
     rng = np.random.default_rng(seed)
-    per_probe = max(200, budget // max(1, samples))
+    per_probe = max(200, budget // samples)
     best = 0.0
     for i in range(samples):
         if i == 0:

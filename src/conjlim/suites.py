@@ -233,7 +233,7 @@ def _suite_example_3x3(seed: int, config: dict | None) -> list[SuiteCase]:
         while True:
             x = ginibre(2, rng=rng)
             sv = np.linalg.svd(x, compute_uv=False)
-            if sv[-1] > 1e-6 * sv[0]:
+            if sv[-1] > modifier.INVERTIBILITY_REL * sv[0]:
                 break
         c = kb @ x @ kb.conj().T
         found = False

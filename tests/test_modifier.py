@@ -146,6 +146,13 @@ class TestSomePathBounded:
         verdict = some_path_bounded(ginibre(3, rng=rng), z, Modifier.identity(3), seed=0)
         assert verdict.member
 
+    @pytest.mark.parametrize("decide", [some_path_bounded, some_path_bounded_dual])
+    def test_draws_must_be_positive(self, decide):
+        # with no draw the false verdict would carry no evidence
+        z = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        with pytest.raises(InvalidInputError, match="draws"):
+            decide(np.eye(3), z, Modifier.identity(3), seed=0, draws=0)
+
     def test_verdicts_stable_across_seeds(self):
         rng = np.random.default_rng(6)
         z = random_singular(4, 2, rng)

@@ -77,6 +77,19 @@ class TestPolyEval:
             assert np.allclose(u, expected, rtol=0.0, atol=1e-13)
 
 
+class TestSingularGate:
+    def test_vector_and_stack(self):
+        # sigma_min against 1e-13 * max(1, sigma_max): the floor of 1 binds
+        # for the small matrices, the relative cut for the large ones
+        s = np.array([[1.0, 1e-13], [1.0, 2e-13], [1e-3, 5e-14], [1e-3, 2e-13], [1e6, 1e-7]])
+        expected = [True, False, True, False, True]
+        assert numkit.singular(s).tolist() == expected
+        assert [bool(numkit.singular(row)) for row in s] == expected
+        assert not numkit.singular(np.array([1e6, 2e-7]))
+        stack = np.stack([np.eye(3), np.diag([1.0, 1.0, 0.0])])
+        assert numkit.singular(np.linalg.svd(stack, compute_uv=False)).tolist() == [False, True]
+
+
 class TestTolerance:
     def test_defaults_valid(self):
         t = Tolerance()

@@ -1,11 +1,15 @@
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conjlim.criteria import keeps_kernel_invariant, kernel_algebra_basis
-from conjlim.goodpath import InvalidPathError, construct_good_path
+from conjlim.goodpath import InvalidPathError, construct_good_path, laurent_inverse
 from conjlim.modifier import Modifier, apply
 from conjlim.numkit import (
     InvalidInputError,
@@ -160,6 +164,24 @@ class TestSimulate:
         report = simulate(path, unit(2, 0, 1), grid=grid)
         assert report.t_values.size == 13
         assert report.verdict == "divergent"
+
+
+class TestSingularityGate:
+    # diag(1, 0) + t diag(0, c) has sigma_min / sigma_max = c t: 5e-14 at
+    # t = 1e-4 for c = 5e-10, under the 1e-13 gate; 2e-13 for c = 2e-9
+    @pytest.mark.parametrize("c", [5e-10, 2e-9])
+    def test_simulate_and_laurent_inverse_share_the_gate(self, c):
+        z, e = diag(1.0, 0.0), diag(0.0, c)
+        path = MatrixPath.linear(z, e)
+        grid = [1e-2, 1e-3, 1e-4]
+        if c < 1e-9:
+            with pytest.raises(PathSingularError, match=r"t = 0\.0001"):
+                simulate(path, np.eye(2), grid=grid)
+            with pytest.raises(InvalidPathError, match=r"t = 0\.0001"):
+                laurent_inverse(z, [e], order=2)
+        else:
+            simulate(path, np.eye(2), grid=grid)
+            laurent_inverse(z, [e], order=2)
 
 
 class TestStackedSimulate:
@@ -487,6 +509,26 @@ class TestDivergenceSearch:
         with pytest.raises(InvalidInputError, match="budget"):
             divergence_search(unit(2, 0, 1), np.zeros((2, 2)), budget=0, seed=0)
 
+    def test_search_whose_every_start_is_refused_returns(self):
+        # Z + delta G rounds back to a singular matrix at this scale, so the
+        # gate refuses every random start; the budget must still end the
+        # search.  A subprocess with a timeout turns a hang into a failure.
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+        code = (
+            "import numpy as np\n"
+            "from conjlim.pathsim import divergence_search\n"
+            "out = divergence_search(np.triu(np.ones((3, 3))), np.diag([1e20, 0.0, 0.0]),"
+            " radius=1e-3, budget=10, seed=0)\n"
+            "print(out.matrix, out.norm, out.evaluations, out.rejected, out.restarts)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["None", "-inf", "0", "10", "10"]
+
     def test_corank_heavy_base_is_not_starved(self):
         # at n = 16 and rank 2 a random start rarely has sigma_min >= 0.05 delta;
         # the best-conditioned draw must still start the ascent
@@ -546,6 +588,11 @@ class TestLocalityProbe:
         report = locality_probe(ginibre(3, rng=rng), z, seed=1, samples=4, budget=4000)
         assert not report.consistent
         assert report.witness is not None
+
+    def test_samples_must_be_positive(self):
+        # with no sample the probe would report consistency without probing
+        with pytest.raises(InvalidInputError, match="samples"):
+            locality_probe(unit(3, 0, 1), diag(1.0, 0.0, 0.0), seed=0, samples=0)
 
     def test_invertible_base_with_small_radius_consistent(self):
         rng = np.random.default_rng(12)
