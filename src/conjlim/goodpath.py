@@ -126,12 +126,8 @@ class GoodPath:
         """Truncated Laurent inverse ``pole/t + sum_j t^j C_j``."""
         if t == 0:
             raise InvalidInputError("inverse expansion is undefined at t = 0")
-        out = self.inverse_pole / t
-        tk = 1.0
-        for c in self.inverse_series:
-            out = out + tk * c
-            tk *= t
-        return out
+        c0, *rest = self.inverse_series
+        return self.inverse_pole / t + poly_eval(c0, rest, [t])[0]
 
     def _inverse_coeff(self, j: int) -> np.ndarray:
         if j == -1:
@@ -218,7 +214,7 @@ class GoodPath:
         )
 
 
-def polar_factors(z, tol: Tolerance = DEFAULT_TOL) -> PolarFactors:
+def polar_factors(z) -> PolarFactors:
     """Sharpened polar factorization ``Z = U R``.
 
     R is the Hermitian PSD root of ``Z^H Z`` and U is unitary (in finite
@@ -270,7 +266,7 @@ def construct_good_path(z, tol: Tolerance = DEFAULT_TOL, order: int = 8) -> Good
     )
 
 
-def laurent_inverse(z, coeffs, order: int = 8, tol: Tolerance = DEFAULT_TOL):
+def laurent_inverse(z, coeffs, order: int = 8):
     """Solve for the Laurent coefficients of ``P(t)^{-1}``, with
     ``P(t) = Z + sum t^k E_k``, under the pole-order-one ansatz.
 

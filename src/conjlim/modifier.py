@@ -30,6 +30,7 @@ from .numkit import (
     InvalidInputError,
     Tolerance,
     as_square,
+    as_square_like,
     ginibre,
     kernel_basis,
     operator_norm,
@@ -131,15 +132,6 @@ class Modifier:
     def __call__(self, a) -> np.ndarray:
         return apply(self, a)
 
-    def as_operator(self) -> np.ndarray:
-        """Matrix of the modifier on column-stacked n x n matrices."""
-        n = self.dim
-        if self.kind == "identity":
-            return np.eye(n * n, dtype=np.complex128)
-        if self.kind == "hadamard":
-            return np.diag(self.data.reshape(-1, order="F"))
-        return self.data.copy()
-
     def norm_scale(self) -> float:
         """Operator-norm bound used when scaling residual thresholds."""
         if self.kind == "identity":
@@ -189,16 +181,13 @@ def _membership_existential(
         # invertible base point: C = 0 is the unique admissible companion
         return MembershipVerdict(True, 0.0, np.zeros((n, n), dtype=np.complex128), threshold)
 
-    phi_op = phi.as_operator()
-    if dual:
-        constraint = phi_op @ np.kron((lb.conj().T @ A @ Z).T, kb)
-    else:
-        constraint = phi_op @ np.kron(lb.conj(), Z @ A @ kb)
-
-    _, s, vh = np.linalg.svd(constraint, full_matrices=True)
-    null_mask = np.ones(k * k, dtype=bool)
-    null_mask[: s.size] = s <= threshold
-    null_vecs = vh[null_mask].conj().T  # (k^2, d)
+    # phi(left X right) = sum_ij X_ij phi(left[:, i] right[j, :]); image
+    # j*k + i belongs to X_ij, its position in the column-stacked vec(X)
+    left, right = (kb, lb.conj().T @ A @ Z) if dual else (Z @ A @ kb, lb.conj().T)
+    images = left.T[None, :, :, None] * right[:, None, None, :]
+    constraint = apply(phi, images.reshape(k * k, n, n)).reshape(k * k, n * n).T
+    _, s, vh = np.linalg.svd(constraint, full_matrices=False)
+    null_vecs = vh[s <= threshold].conj().T  # (k^2, d)
     d = null_vecs.shape[1]
     if d == 0:
         return MembershipVerdict(
@@ -405,7 +394,6 @@ class ConjugationBoundReport:
 
 def conjugation_family_bound(
     mats,
-    tol: Tolerance = DEFAULT_TOL,
     eig_tol: float = 1e-6,
     offdiag_cap: float = 1e6,
 ) -> ConjugationBoundReport:
@@ -419,13 +407,12 @@ def conjugation_family_bound(
     eigenvalue matching; a mismatch beyond ``eig_tol`` raises
     :class:`ConjugationFamilyError`.
     """
-    family = [as_square(b, "family member") for b in mats]
+    family = list(mats)
     if not family:
         raise InvalidInputError("family must be non-empty")
-    n = family[0].shape[0]
-    for b in family:
-        if b.shape != (n, n):
-            raise InvalidInputError("family members must share one shape")
+    first = as_square(family[0], "family member")
+    family = [as_square_like(first, b, "family member") for b in family]
+    n = first.shape[0]
 
     # scipy.optimize takes most of the package's import time; load it here
     from scipy.optimize import linear_sum_assignment

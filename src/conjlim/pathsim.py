@@ -103,19 +103,16 @@ class MatrixPath:
 
     @staticmethod
     def from_samples(pairs) -> "MatrixPath":
+        pairs = [(float(t), u) for t, u in pairs]
+        if not pairs:
+            raise InvalidInputError("samples path needs at least one pair")
+        first = as_square(pairs[0][1], "sample matrix")
         cleaned = []
         for t, u in pairs:
-            t = float(t)
             if t <= 0:
                 raise InvalidInputError(f"sample parameters must be positive, got {t}")
-            cleaned.append((t, as_square(u, "sample matrix")))
-        if not cleaned:
-            raise InvalidInputError("samples path needs at least one pair")
+            cleaned.append((t, as_square_like(first, u, "sample matrix")))
         cleaned.sort(key=lambda p: -p[0])
-        n = cleaned[0][1].shape[0]
-        for _, u in cleaned:
-            if u.shape != (n, n):
-                raise InvalidInputError("sample matrices must share one shape")
         return MatrixPath(kind="samples", samples=tuple(cleaned))
 
     @property
@@ -187,7 +184,6 @@ def simulate(
     a,
     phi: Modifier | None = None,
     grid=None,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> GrowthReport:
     """Sample ``||phi(U(t) A U(t)^{-1})||`` over the grid and fit the growth
     exponent on the smallest decade.
@@ -283,7 +279,6 @@ def divergence_search(
     *,
     seed,
     stop_at: float | None = None,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> SearchOutcome:
     """Search for invertible U with ``||U - Z|| < radius`` maximizing
     ``||phi(U A U^{-1})||``.
@@ -534,7 +529,7 @@ def _poly_samples(z: np.ndarray, coeffs, a: np.ndarray):
     return dets, np.fft.fft(prods, axis=0) / count, float(noise)
 
 
-def polynomial_growth_degrees(z, coeffs, a, tol: Tolerance = DEFAULT_TOL):
+def polynomial_growth_degrees(z, coeffs, a):
     """Lowest nonzero t-degrees of ``det(path)`` and ``path * A * adj(path)``.
 
     Both polynomials are sampled at roots of unity, from one stacked path
@@ -560,7 +555,7 @@ def polynomial_growth_degrees(z, coeffs, a, tol: Tolerance = DEFAULT_TOL):
     return lowest(prod_coeffs), lowest(det_coeffs, det_noise)
 
 
-def polynomial_path_bounded(z, coeffs, a, tol: Tolerance = DEFAULT_TOL) -> bool:
+def polynomial_path_bounded(z, coeffs, a) -> bool:
     """Exact boundedness of ``||U(t) A U(t)^{-1}||`` as t -> 0 along the
     polynomial path ``U(t) = Z + sum t^k E_k``.
 
@@ -570,7 +565,7 @@ def polynomial_path_bounded(z, coeffs, a, tol: Tolerance = DEFAULT_TOL) -> bool:
     Raises :class:`~conjlim.goodpath.InvalidPathError` for identically
     singular paths.
     """
-    prod_deg, det_deg = polynomial_growth_degrees(z, coeffs, a, tol)
+    prod_deg, det_deg = polynomial_growth_degrees(z, coeffs, a)
     if det_deg is None:
         raise InvalidPathError("path determinant vanishes identically")
     if prod_deg is None:
@@ -597,7 +592,6 @@ def locality_probe(
     samples: int = 6,
     budget: int = 4800,
     threshold: float = 1e6,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> LocalityProbeReport:
     """Falsifier for "every path to Z keeps ``phi(U A U^{-1})`` bounded".
 
@@ -605,16 +599,20 @@ def locality_probe(
     point, so the probe samples ``samples >= 1`` base points Z' with
     ``||Z' - Z|| < r`` (starting with Z itself) and runs a divergence search
     around each; a search exceeding ``threshold`` refutes the claim and the
-    violating Z' is returned as witness.
+    violating Z' is returned as witness.  Each search gets
+    ``budget // samples`` objective evaluations, so ``budget`` bounds the
+    total; a budget below ``samples`` raises :class:`InvalidInputError`.
     """
     A, Z = _pair(a, z)
     if r <= 0:
         raise InvalidInputError(f"radius must be positive, got {r}")
     if samples < 1:
         raise InvalidInputError(f"samples must be at least 1, got {samples}")
+    if budget < samples:
+        raise InvalidInputError(f"budget must be at least samples = {samples}, got {budget}")
     n = Z.shape[0]
     rng = np.random.default_rng(seed)
-    per_probe = max(200, budget // samples)
+    per_probe = budget // samples
     best = 0.0
     for i in range(samples):
         if i == 0:
@@ -630,7 +628,6 @@ def locality_probe(
             budget=per_probe,
             seed=int(rng.integers(0, 2**31 - 1)),
             stop_at=threshold,
-            tol=tol,
         )
         best = max(best, out.norm)
         if out.norm >= threshold:

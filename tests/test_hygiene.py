@@ -1,6 +1,6 @@
 """Static checks on the package source, with the standard library only:
-no module imports a name it never uses, and every name listed in a
-module's ``__all__`` exists."""
+no module imports a name it never uses, every name listed in a module's
+``__all__`` exists, and every function reads each of its parameters."""
 
 import ast
 import importlib
@@ -75,3 +75,40 @@ def test_all_entries_resolve(path):
     module = importlib.import_module(name)
     missing = [entry for entry in getattr(module, "__all__", ()) if not hasattr(module, entry)]
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+
+
+def suite_runners(tree: ast.Module) -> set:
+    """Functions registered in ``suites._SUITES``, which all take the
+    ``(seed, config)`` pair whether or not they read the seed."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "_SUITES" for t in node.targets
+        ):
+            return {v.id for v in node.value.values if isinstance(v, ast.Name)}
+    return set()
+
+
+def unused_parameters(tree: ast.Module, exempt: set) -> list:
+    """``function.parameter`` for every parameter its function never reads."""
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+        read = {
+            n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        name = getattr(node, "name", "<lambda>")
+        for p in params:
+            if p is not None and p.arg not in read and (name, p.arg) not in exempt:
+                unused.append(f"{name}.{p.arg} (line {node.lineno})")
+    return unused
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    exempt = {(name, "seed") for name in suite_runners(tree)}
+    unused = unused_parameters(tree, exempt)
+    assert not unused, f"{path.name} has parameters no code reads: {', '.join(unused)}"

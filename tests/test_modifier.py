@@ -65,12 +65,15 @@ class TestApply:
     def test_operator_matrix_consistency(self):
         rng = np.random.default_rng(1)
         a = ginibre(3, rng=rng)
-        for phi in (
-            Modifier.identity(3),
-            Modifier.hadamard(ginibre(3, rng=rng)),
-            Modifier.general(ginibre(9, rng=rng)),
+        h = ginibre(3, rng=rng)
+        l = ginibre(9, rng=rng)
+        # each modifier with its matrix on column-stacked 3 x 3 matrices
+        for phi, op in (
+            (Modifier.identity(3), np.eye(9)),
+            (Modifier.hadamard(h), np.diag(h.reshape(-1, order="F"))),
+            (Modifier.general(l), l),
         ):
-            via_op = (phi.as_operator() @ a.reshape(-1, order="F")).reshape((3, 3), order="F")
+            via_op = (op @ a.reshape(-1, order="F")).reshape((3, 3), order="F")
             assert np.allclose(apply(phi, a), via_op, atol=1e-12)
 
 
@@ -139,6 +142,34 @@ class TestSomePathBounded:
             a = random_member(z, rng) if i % 2 == 0 else ginibre(n, rng=rng)
             got = some_path_bounded(a, z, Modifier.delete_diagonal(n), seed=i).member
             assert got == keeps_kernel_invariant(a, z).member
+
+    def test_general_modifier_matches_hadamard(self):
+        # the Hadamard map written as a general one: same verdicts, and the
+        # general witness solves its own constraint, which pins the order of
+        # the constraint's columns against vec(X)
+        rng = np.random.default_rng(13)
+        for i in range(40):
+            n = int(rng.integers(2, 7))
+            z = random_singular(n, int(rng.integers(1, n)), rng)
+            kernel_member = random_member(z, rng)
+            image_member = random_member(z.conj().T, rng).conj().T
+            a = (kernel_member, image_member, ginibre(n, rng=rng))[i % 3]
+            h = ginibre(n, rng=rng)
+            if i % 2:
+                # two entries kept: not faithful, and two linear conditions
+                # on X that its transpose does not meet
+                mask = np.zeros(n * n)
+                mask[rng.choice(n * n, 2, replace=False)] = 1.0
+                h = h * mask.reshape(n, n)
+            general = Modifier.general(np.diag(h.reshape(-1, order="F")))
+            for decide, product in (
+                (some_path_bounded, lambda c: z @ a @ c),
+                (some_path_bounded_dual, lambda c: c @ a @ z),
+            ):
+                verdict = decide(a, z, general, seed=i)
+                assert verdict.member == decide(a, z, Modifier.hadamard(h), seed=i).member
+                if verdict.member:
+                    assert np.linalg.norm(apply(general, product(verdict.witness)), 2) <= 1e-8
 
     def test_invertible_base_accepts_everything(self):
         rng = np.random.default_rng(5)

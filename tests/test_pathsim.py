@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conjlim import pathsim
 from conjlim.criteria import keeps_kernel_invariant, kernel_algebra_basis
 from conjlim.goodpath import InvalidPathError, construct_good_path, laurent_inverse
 from conjlim.modifier import Modifier, apply
@@ -593,6 +594,23 @@ class TestLocalityProbe:
         # with no sample the probe would report consistency without probing
         with pytest.raises(InvalidInputError, match="samples"):
             locality_probe(unit(3, 0, 1), diag(1.0, 0.0, 0.0), seed=0, samples=0)
+
+    def test_work_is_bounded_by_the_budget(self, monkeypatch):
+        evaluations = []
+
+        def counted(*args, **kwargs):
+            out = divergence_search(*args, **kwargs)
+            evaluations.append(out.evaluations)
+            return out
+
+        monkeypatch.setattr(pathsim, "divergence_search", counted)
+        locality_probe(np.triu(np.ones((3, 3))), np.eye(3), r=0.05, seed=0, samples=2, budget=2)
+        assert len(evaluations) == 2
+        assert sum(evaluations) <= 2
+
+    def test_budget_below_samples_is_rejected(self):
+        with pytest.raises(InvalidInputError, match="budget"):
+            locality_probe(unit(3, 0, 1), np.eye(3), seed=0, samples=2, budget=1)
 
     def test_invertible_base_with_small_radius_consistent(self):
         rng = np.random.default_rng(12)

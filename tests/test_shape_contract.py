@@ -25,7 +25,12 @@ from conjlim.goodpath import (
     laurent_inverse,
     rigidity_index,
 )
-from conjlim.modifier import Modifier, some_path_bounded, some_path_bounded_dual
+from conjlim.modifier import (
+    Modifier,
+    conjugation_family_bound,
+    some_path_bounded,
+    some_path_bounded_dual,
+)
 from conjlim.numkit import InvalidInputError
 from conjlim.pathsim import (
     MatrixPath,
@@ -52,6 +57,8 @@ CASES = {
     "some_path_bounded_dual": (Z, lambda m: some_path_bounded_dual(A, m, PHI, seed=0)),
     "divergence_search": (Z, lambda m: divergence_search(A, m, budget=1, seed=0)),
     "locality_probe": (Z, lambda m: locality_probe(A, m, seed=0, samples=1, budget=1)),
+    "conjugation_family_bound": (A, lambda m: conjugation_family_bound([A, m])),
+    "MatrixPath.from_samples": (C, lambda m: MatrixPath.from_samples([(0.5, C), (0.25, m)])),
     "MatrixPath.polynomial": (C, lambda m: MatrixPath.polynomial(Z, [C, m])),
     "MatrixPath.linear": (C, lambda m: MatrixPath.linear(Z, m)),
     "polynomial_growth_degrees[coeff]": (C, lambda m: polynomial_growth_degrees(Z, [m], A)),
