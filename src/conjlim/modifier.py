@@ -10,11 +10,18 @@ changes no boundedness verdicts.
 The central decision procedure is :func:`some_path_bounded`: whether some
 path of invertibles converging to Z keeps ``phi(U A U^{-1})`` bounded.  This
 holds iff some C with ``im(C) = ker(Z)`` and ``ker(C) = im(Z)`` satisfies
-``phi(Z A C) = 0``.  Writing ``C = K X L^H`` with K, L orthonormal bases of
-``ker(Z)`` and ``im(Z)^perp`` reduces the question to whether a computed
-linear solution space of k x k matrices contains an invertible element,
-which is decided by seeded random sampling (a random element of a subspace
-containing an invertible one is invertible with probability 1).
+``phi(Z A C) = 0``.  Such C are exactly ``C = K X L^H`` with X invertible and
+K, L orthonormal bases of ``ker(Z)`` and ``ker(Z^H)``.
+
+Since ``C Z = 0``, every ``Z A C`` squares to zero.  When phi is faithful
+(nonzero on every nonzero square-zero matrix: the identity, or a Hadamard
+factor with no zero off-diagonal entry) the condition is therefore
+``Z A C = 0``, i.e. ``Z A K = 0``: A keeps ``ker(Z)`` invariant, and the
+verdict is exact and deterministic.  For every other modifier the question
+is whether the linear solution space of ``X -> phi(Z A K X L^H) = 0``
+contains an invertible element, decided by seeded random sampling (a random
+element of a subspace containing an invertible one is invertible with
+probability 1).
 """
 
 from __future__ import annotations
@@ -31,8 +38,8 @@ from .numkit import (
     Tolerance,
     as_square,
     as_square_like,
+    _svd_rank,
     ginibre,
-    kernel_basis,
     operator_norm,
     random_unitary,
 )
@@ -170,16 +177,25 @@ def _membership_existential(
     if draws < 1:
         raise InvalidInputError(f"draws must be at least 1, got {draws}")
     # every C with im(C) = ker(Z), ker(C) = im(Z) is K X L^H with X
-    # invertible, for orthonormal bases K of ker(Z) and L of ker(Z^H)
-    kb = kernel_basis(Z, tol).basis
-    lb = kernel_basis(Z.conj().T, tol).basis
+    # invertible, for orthonormal bases K of ker(Z) and L of ker(Z^H); one
+    # SVD and one rank decision give both, so dim K = dim L
+    u, s, vh = np.linalg.svd(Z)
+    r = _svd_rank(s, tol.rank_rel)
+    kb = vh[r:].conj().T
+    lb = u[:, r:]
     k = kb.shape[1]
-    threshold = tol.residual_scale(
-        operator_norm(Z) * operator_norm(A)
-    ) * phi.norm_scale()
+    threshold = tol.residual_scale(float(s[0]) * operator_norm(A)) * phi.norm_scale()
     if k == 0:
         # invertible base point: C = 0 is the unique admissible companion
         return MembershipVerdict(True, 0.0, np.zeros((n, n), dtype=np.complex128), threshold)
+
+    if phi.kind != "general" and nilpotent_faithful(phi).faithful:
+        # (Z A C)^2 = 0 since C Z = 0, and phi is nonzero on every nonzero
+        # square-zero matrix: phi(Z A K X L^H) = 0 iff Z A K = 0 (dually
+        # L^H A Z = 0), whatever the invertible X
+        defect = lb.conj().T @ A @ Z if dual else Z @ A @ kb
+        residual = float(np.linalg.norm(defect, 2))
+        return MembershipVerdict(residual <= threshold, residual, kb @ lb.conj().T, threshold)
 
     # phi(left X right) = sum_ij X_ij phi(left[:, i] right[j, :]); image
     # j*k + i belongs to X_ij, its position in the column-stacked vec(X)
@@ -223,11 +239,21 @@ def some_path_bounded(
     bounded?
 
     Equivalent to the existence of a companion ``C = K X L^H`` (X invertible)
-    with ``phi(Z A C) = 0``.  The verdict's witness is the companion found on
-    success; on failure it is the most-invertible candidate sampled, with
-    ``residual`` holding its relative invertibility margin.  A false verdict
-    is correct with probability 1 after ``draws >= 1`` samples; seeds make it
-    reproducible.
+    with ``phi(Z A C) = 0``; ``draws < 1`` is rejected on every route.
+
+    * Faithful phi (identity, or Hadamard with every off-diagonal entry
+      nonzero): ``Z A C`` squares to zero because ``C Z = 0``, so
+      ``phi(Z A C) = 0`` iff ``Z A K = 0``.  The verdict is exact and
+      deterministic and ``seed`` is unused.  ``residual`` is ``||Z A K||``,
+      the defect that had to vanish, and ``witness`` is the companion
+      ``K L^H`` whatever the verdict.
+    * Any other phi: seeded draws from the solution space of
+      ``phi(Z A K X L^H) = 0``.  On success ``witness`` is the companion
+      found and ``residual`` is ``||phi(Z A C)||``; on failure ``witness``
+      is the most-invertible candidate sampled and ``residual`` its relative
+      invertibility margin, or 0 with a zero witness when the solution space
+      is trivial.  A false verdict is correct with probability 1 after
+      ``draws >= 1`` samples; seeds make it reproducible.
     """
     return _membership_existential(a, z, phi, tol, seed, draws, dual=False)
 
@@ -236,7 +262,9 @@ def some_path_bounded_dual(
     a, z, phi: Modifier, tol: Tolerance = DEFAULT_TOL, *, seed, draws: int = DEFAULT_DRAWS
 ) -> MembershipVerdict:
     """Mirror of :func:`some_path_bounded` for ``phi(U^{-1} A U)``, i.e.
-    existence of a companion with ``phi(C A Z) = 0``."""
+    existence of a companion with ``phi(C A Z) = 0``.  Under a faithful phi
+    it is exact, with ``residual = ||L^H A Z||``: A keeps ``im(Z)``
+    invariant."""
     return _membership_existential(a, z, phi, tol, seed, draws, dual=True)
 
 
@@ -261,19 +289,21 @@ def nilpotent_faithful(
 
     This property characterizes the modifiers that change no boundedness
     verdict.  For Hadamard modifiers it is exact: it holds iff every
-    off-diagonal entry of H is nonzero, and a zero entry at (i, j) yields
-    the counterexample E_ij.  General modifiers fall back on the randomized
-    falsifier.
+    off-diagonal entry of H is nonzero, and the first zero entry (i, j) in
+    row-major order yields the counterexample E_ij.  An exact positive
+    answer is what lets :func:`some_path_bounded` decide by the kernel
+    criterion.  General modifiers fall back on the randomized falsifier.
     """
     if phi.kind == "identity":
         return FaithfulnessReport(True, None, True)
     if phi.kind == "hadamard":
-        n = phi.dim
-        for i in range(n):
-            for j in range(n):
-                if i != j and phi.data[i, j] == 0:
-                    return FaithfulnessReport(False, _elementary(n, i, j), True)
-        return FaithfulnessReport(True, None, True)
+        blind = phi.data == 0
+        np.fill_diagonal(blind, False)
+        if not blind.any():
+            return FaithfulnessReport(True, None, True)
+        # argmax on the flattened mask finds the first zero in row-major order
+        i, j = divmod(int(np.argmax(blind)), phi.dim)
+        return FaithfulnessReport(False, _elementary(phi.dim, i, j), True)
     return nilpotent_faithful_randomized(phi, tol, seed=seed, trials=trials)
 
 

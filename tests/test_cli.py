@@ -87,6 +87,24 @@ class TestModifierCommand:
         assert code == 0
         out = json.loads(capsys.readouterr().out)
         assert out["member"] is False
+        # Z A K = E_01 restricted to ker Z = span(e_1, e_2) has norm 1
+        assert out["residual"] == pytest.approx(1.0)
+        assert out["residual"] > out["threshold"]
+
+    def test_member_margin_on_kernel_member(self, matrices, tmp_path, capsys):
+        zp, _ = matrices
+        a = np.zeros((3, 3), dtype=complex)
+        a[1, 0] = 1.0  # sends e_0 into ker Z and kills ker Z
+        ap = tmp_path / "member.json"
+        save_matrix(ap, a)
+        code = run(
+            ["modifier", "--op", "member", "--phi", "J", "--Z", zp, "--A", ap, "--seed", 42]
+        )
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["member"] is True
+        assert 0.0 < out["threshold"]
+        assert out["residual"] <= out["threshold"]
 
     def test_faithful_hadamard_file(self, tmp_path, capsys):
         h = np.ones((3, 3), dtype=complex)

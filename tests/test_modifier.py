@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conjlim.criteria import keeps_image_invariant, keeps_kernel_invariant
-from conjlim.goodpath import construct_good_path
+from conjlim.goodpath import construct_good_path, is_pole_coefficient
 from conjlim.modifier import (
     ConjugationFamilyError,
     Modifier,
@@ -21,6 +21,7 @@ from conjlim.numkit import (
     kernel_basis,
     operator_norm,
     random_singular,
+    random_unitary,
 )
 
 
@@ -34,6 +35,13 @@ def corner_example():
     """3x3 rank-one diagonal base with the (1,3) Hadamard pattern."""
     z = np.diag([1.0, 0.0, 0.0]).astype(complex)
     return z, Modifier.hadamard(unit(3, 0, 2))
+
+
+def as_general(phi):
+    """The same map as a general modifier, which is never decided exactly."""
+    n = phi.dim
+    h = np.ones((n, n)) if phi.kind == "identity" else phi.data
+    return Modifier.general(np.diag(h.reshape(-1, order="F")))
 
 
 def random_member(z, rng):
@@ -135,13 +143,114 @@ class TestSomePathBounded:
             assert got == keeps_kernel_invariant(a, z).member
 
     def test_delete_diagonal_collapses_to_kernel_criterion(self):
+        # written as a general map, so the randomized route decides it
         rng = np.random.default_rng(4)
         for i in range(30):
             n = int(rng.integers(2, 6))
             z = random_singular(n, int(rng.integers(1, n)), rng)
             a = random_member(z, rng) if i % 2 == 0 else ginibre(n, rng=rng)
-            got = some_path_bounded(a, z, Modifier.delete_diagonal(n), seed=i).member
+            got = some_path_bounded(a, z, as_general(Modifier.delete_diagonal(n)), seed=i).member
             assert got == keeps_kernel_invariant(a, z).member
+
+    def test_theorem_route_matches_randomized_route(self):
+        # faithful modifiers are decided by Z A K = 0 (dually L^H A Z = 0);
+        # the same map as a general modifier goes through the null space of
+        # the constraint and random draws, and must agree
+        rng = np.random.default_rng(17)
+        for i in range(200):
+            n = int(rng.integers(2, 8))
+            z = random_singular(n, int(rng.integers(1, n)), rng)
+            kernel_member = random_member(z, rng)
+            image_member = random_member(z.conj().T, rng).conj().T
+            a = (kernel_member, image_member, ginibre(n, rng=rng))[i % 3]
+            kind = (i // 3) % 3
+            if kind == 0:
+                h = ginibre(n, rng=rng)
+                h[np.diag_indices(n)] *= rng.uniform(size=n) < 0.5
+                phi = Modifier.hadamard(h)
+            elif kind == 1:
+                phi = Modifier.identity(n)
+            else:
+                phi = Modifier.delete_diagonal(n)
+            assert nilpotent_faithful(phi).faithful
+            for decide, product in (
+                (some_path_bounded, lambda c: z @ a @ c),
+                (some_path_bounded_dual, lambda c: c @ a @ z),
+            ):
+                verdict = decide(a, z, phi, seed=i)
+                assert verdict.member == decide(a, z, as_general(phi), seed=i).member
+                if verdict.member:
+                    assert is_pole_coefficient(verdict.witness, z)
+                    residual = np.linalg.norm(apply(phi, product(verdict.witness)), 2)
+                    assert residual <= verdict.threshold
+
+    def test_theorem_route_reports_the_defect(self):
+        # the residual is ||Z A K|| (dually ||L^H A Z||) and the witness the
+        # companion K L^H, whatever the verdict
+        rng = np.random.default_rng(18)
+        z = random_singular(5, 2, rng)
+        kb = kernel_basis(z).basis
+        lb = kernel_basis(z.conj().T).basis
+        phi = Modifier.delete_diagonal(5)
+        for a in (random_member(z, rng), ginibre(5, rng=rng)):
+            primal = some_path_bounded(a, z, phi, seed=0)
+            dual = some_path_bounded_dual(a, z, phi, seed=0)
+            assert primal.residual == pytest.approx(np.linalg.norm(z @ a @ kb, 2))
+            assert dual.residual == pytest.approx(np.linalg.norm(lb.conj().T @ a @ z, 2))
+            for verdict in (primal, dual):
+                assert verdict.member == (verdict.residual <= verdict.threshold)
+                # K L^H for some orthonormal K, L: C C^H and C^H C are the
+                # projectors onto ker Z and ker Z^H
+                c = verdict.witness
+                assert np.allclose(c @ c.conj().T, kb @ kb.conj().T, atol=1e-10)
+                assert np.allclose(c.conj().T @ c, lb @ lb.conj().T, atol=1e-10)
+                assert is_pole_coefficient(verdict.witness, z)
+
+    def test_work_is_bounded_under_faithful_modifier(self, monkeypatch):
+        # a non-member under delete_diagonal at n = 16 takes no constraint
+        # SVD and no draws: a few decompositions, none larger than n x n
+        shapes = []
+
+        def counting(svd):
+            def wrapped(m, *args, **kwargs):
+                shapes.append(np.shape(m))
+                return svd(m, *args, **kwargs)
+
+            return wrapped
+
+        # norm(., 2) calls the private module's svd, not numpy.linalg.svd
+        for module in (np.linalg, np.linalg._linalg):
+            monkeypatch.setattr(module, "svd", counting(module.svd))
+        rng = np.random.default_rng(19)
+        n = 16
+        z = random_singular(n, 2, rng)
+        a = ginibre(n, rng=rng)
+        shapes.clear()
+        verdict = some_path_bounded(a, z, Modifier.delete_diagonal(n), seed=0)
+        assert not verdict.member
+        assert len(shapes) <= 5
+        assert max(max(shape) for shape in shapes) <= n
+
+    @pytest.mark.parametrize("decide", [some_path_bounded, some_path_bounded_dual])
+    def test_kernel_and_cokernel_share_one_rank_decision(self, decide):
+        # sigma_min sits at the rank cutoff, where separate decisions on Z
+        # and Z^H can disagree; one SVD gives K and L the same column count
+        rng = np.random.default_rng(20)
+        disagreed = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 7))
+            s = np.sort(rng.uniform(0.5, 2.0, n))[::-1]
+            s[-1] = 1e-10 * s[0] * (1.0 + rng.uniform(-1e-5, 1e-5))
+            u, v = random_unitary(n, rng), random_unitary(n, rng)
+            z = (u * s) @ v.conj().T
+            disagreed += kernel_basis(z).dim != kernel_basis(z.conj().T).dim
+            a = ginibre(n, rng=rng)
+            for phi in (Modifier.identity(n), Modifier.general(np.eye(n * n))):
+                c = decide(a, z, phi, seed=0).witness
+                assert c.shape == (n, n)
+                assert np.linalg.norm(z @ c, 2) <= 1e-8
+                assert np.linalg.norm(c @ z, 2) <= 1e-8
+        assert disagreed > 0
 
     def test_general_modifier_matches_hadamard(self):
         # the Hadamard map written as a general one: same verdicts, and the
@@ -256,6 +365,18 @@ class TestNilpotentFaithful:
                     assert operator_norm(t) > 0
                     assert operator_norm(t @ t) < 1e-10
                     assert operator_norm(apply(phi, t)) < 1e-10
+
+    def test_counterexample_is_first_zero_in_row_major_order(self):
+        rng = np.random.default_rng(21)
+        for _ in range(100):
+            n = int(rng.integers(2, 7))
+            h = ginibre(n, rng=rng) * (rng.uniform(size=(n, n)) < 0.7)
+            zeros = [(i, j) for i in range(n) for j in range(n) if i != j and h[i, j] == 0]
+            report = nilpotent_faithful(Modifier.hadamard(h))
+            assert report.exact
+            assert report.faithful == (not zeros)
+            if zeros:
+                assert np.array_equal(report.counterexample, unit(n, *zeros[0]))
 
     def test_general_kind_uses_randomized_route(self):
         phi = Modifier.general(np.eye(4))  # identity map on 2x2 via vec
