@@ -184,15 +184,21 @@ def _membership_existential(
     kb = vh[r:].conj().T
     lb = u[:, r:]
     k = kb.shape[1]
-    threshold = tol.residual_scale(float(s[0]) * operator_norm(A)) * phi.norm_scale()
+    faithful = phi.kind != "general" and nilpotent_faithful(phi).faithful
+    # the threshold of criteria.keeps_kernel_invariant; the randomized route
+    # measures phi-images, whose size carries the size of phi
+    threshold = tol.residual_scale(float(s[0]) * operator_norm(A))
+    if not faithful:
+        threshold *= phi.norm_scale()
     if k == 0:
         # invertible base point: C = 0 is the unique admissible companion
         return MembershipVerdict(True, 0.0, np.zeros((n, n), dtype=np.complex128), threshold)
 
-    if phi.kind != "general" and nilpotent_faithful(phi).faithful:
+    if faithful:
         # (Z A C)^2 = 0 since C Z = 0, and phi is nonzero on every nonzero
         # square-zero matrix: phi(Z A K X L^H) = 0 iff Z A K = 0 (dually
-        # L^H A Z = 0), whatever the invertible X
+        # L^H A Z = 0), whatever the invertible X; the defect is not measured
+        # through phi, so the verdict does not depend on how phi is scaled
         defect = lb.conj().T @ A @ Z if dual else Z @ A @ kb
         residual = float(np.linalg.norm(defect, 2))
         return MembershipVerdict(residual <= threshold, residual, kb @ lb.conj().T, threshold)
@@ -246,9 +252,12 @@ def some_path_bounded(
       ``phi(Z A C) = 0`` iff ``Z A K = 0``.  The verdict is exact and
       deterministic and ``seed`` is unused.  ``residual`` is ``||Z A K||``,
       the defect that had to vanish, and ``witness`` is the companion
-      ``K L^H`` whatever the verdict.
+      ``K L^H`` whatever the verdict.  ``threshold`` is that of
+      :func:`~conjlim.criteria.keeps_kernel_invariant`,
+      ``residual_abs * max(1, ||Z|| ||A||)``, whatever the scale of phi.
     * Any other phi: seeded draws from the solution space of
-      ``phi(Z A K X L^H) = 0``.  On success ``witness`` is the companion
+      ``phi(Z A K X L^H) = 0``, at a threshold multiplied by
+      ``phi.norm_scale()``.  On success ``witness`` is the companion
       found and ``residual`` is ``||phi(Z A C)||``; on failure ``witness``
       is the most-invertible candidate sampled and ``residual`` its relative
       invertibility margin, or 0 with a zero witness when the solution space
