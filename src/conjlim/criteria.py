@@ -86,7 +86,7 @@ def _pair(a, z):
 
 
 def _invariance_verdict(defect: np.ndarray, columns: np.ndarray, threshold: float) -> MembershipVerdict:
-    residual = float(np.linalg.norm(defect, 2))
+    residual = operator_norm(defect)
     if residual <= threshold:
         return MembershipVerdict(True, residual, None, threshold)
     col_norms = np.linalg.norm(defect, axis=0)
@@ -129,8 +129,8 @@ def keeps_image_invariant(a, z, tol: Tolerance = DEFAULT_TOL) -> MembershipVerdi
 
 def _check_pole_pair(Z: np.ndarray, C: np.ndarray, tol: Tolerance) -> None:
     scale = tol.residual_scale(operator_norm(Z) * operator_norm(C))
-    zc = float(np.linalg.norm(Z @ C, 2))
-    cz = float(np.linalg.norm(C @ Z, 2))
+    zc = operator_norm(Z @ C)
+    cz = operator_norm(C @ Z)
     if zc > scale or cz > scale:
         raise PoleConditionError(
             f"companion matrix must satisfy ZC = CZ = 0; got ||ZC||={zc:.3e}, ||CZ||={cz:.3e}"
@@ -143,7 +143,7 @@ def _pole_term(a, z, c, tol: Tolerance, dual: bool) -> MembershipVerdict:
     _check_pole_pair(Z, C, tol)
     threshold = tol.residual_scale(operator_norm(Z) * operator_norm(A) * operator_norm(C))
     product = C @ A @ Z if dual else Z @ A @ C
-    residual = float(np.linalg.norm(product, 2))
+    residual = operator_norm(product)
     if residual <= threshold:
         return MembershipVerdict(True, residual, None, threshold)
     return MembershipVerdict(False, residual, product, threshold)

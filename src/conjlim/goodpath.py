@@ -155,16 +155,16 @@ class GoodPath:
                     right += cj @ pk
             target = eye if m == 0 else 0.0
             out[row] = max(
-                float(np.linalg.norm(left - target, 2)),
-                float(np.linalg.norm(right - target, 2)),
+                operator_norm(left - target),
+                operator_norm(right - target),
             )
         return out
 
     def annihilation_residual(self) -> float:
         """``max(||base @ pole||, ||pole @ base||)`` — zero for a valid pole."""
         return max(
-            float(np.linalg.norm(self.base @ self.inverse_pole, 2)),
-            float(np.linalg.norm(self.inverse_pole @ self.base, 2)),
+            operator_norm(self.base @ self.inverse_pole),
+            operator_norm(self.inverse_pole @ self.base),
         )
 
     def coefficient_scale(self) -> float:
@@ -364,9 +364,7 @@ def rigidity_index(e0, coeffs, tol: Tolerance = DEFAULT_TOL) -> int:
         kn = kernel_basis(e, tol)
         if subspace_intersection(k0, kn, tol).dim == 0:
             return idx
-        contained = float(np.linalg.norm(e @ k0.basis, 2)) <= tol.residual_scale(
-            operator_norm(e)
-        )
+        contained = operator_norm(e @ k0.basis) <= tol.residual_scale(operator_norm(e))
         if not contained:
             raise RigidityViolationError(
                 f"ker(E_0) meets ker(E_{idx}) without being contained in it"

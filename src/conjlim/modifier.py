@@ -27,6 +27,7 @@ probability 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .numkit import (
     Tolerance,
     as_square,
     as_square_like,
+    _readonly,
     _svd_rank,
     ginibre,
     operator_norm,
@@ -103,14 +105,14 @@ class Modifier:
             h = as_square(self.data, "hadamard factor")
             if h.shape != (n, n):
                 raise InvalidInputError(f"hadamard factor must be {n}x{n}, got {h.shape}")
-            object.__setattr__(self, "data", h)
+            object.__setattr__(self, "data", _readonly(h))
         elif self.kind == "general":
             l = as_square(self.data, "modifier matrix")
             if l.shape != (n * n, n * n):
                 raise InvalidInputError(
                     f"general modifier must be {n * n}x{n * n}, got {l.shape}"
                 )
-            object.__setattr__(self, "data", l)
+            object.__setattr__(self, "data", _readonly(l))
         else:
             raise InvalidInputError(f"unknown modifier kind {self.kind!r}")
 
@@ -141,6 +143,11 @@ class Modifier:
 
     def norm_scale(self) -> float:
         """Operator-norm bound used when scaling residual thresholds."""
+        return self._norm_scale
+
+    @cached_property
+    def _norm_scale(self) -> float:
+        # computed once (data is read-only): the general kind takes an n^2 x n^2 SVD
         if self.kind == "identity":
             return 1.0
         if self.kind == "hadamard":
@@ -200,7 +207,7 @@ def _membership_existential(
         # L^H A Z = 0), whatever the invertible X; the defect is not measured
         # through phi, so the verdict does not depend on how phi is scaled
         defect = lb.conj().T @ A @ Z if dual else Z @ A @ kb
-        residual = float(np.linalg.norm(defect, 2))
+        residual = operator_norm(defect)
         return MembershipVerdict(residual <= threshold, residual, kb @ lb.conj().T, threshold)
 
     # phi(left X right) = sum_ij X_ij phi(left[:, i] right[j, :]); image
@@ -232,7 +239,7 @@ def _membership_existential(
         if sv[-1] > INVERTIBILITY_REL * sv[0]:
             companion = kb @ x @ lb.conj().T
             product = (companion @ A @ Z) if dual else (Z @ A @ companion)
-            residual = float(np.linalg.norm(apply(phi, product), 2))
+            residual = operator_norm(apply(phi, product))
             return MembershipVerdict(True, residual, companion, threshold)
     witness = kb @ best_x @ lb.conj().T if best_x is not None else np.zeros((n, n))
     return MembershipVerdict(False, best_margin, witness, threshold)
@@ -334,7 +341,7 @@ def nilpotent_faithful_randomized(
         tn = operator_norm(t)
         if tn <= 0.0:
             return False
-        return float(np.linalg.norm(apply(phi, t), 2)) <= tol.residual_scale(scale * tn)
+        return operator_norm(apply(phi, t)) <= tol.residual_scale(scale * tn)
 
     for i in range(n):
         for j in range(n):

@@ -259,8 +259,9 @@ class SearchOutcome:
     """Best invertible perturbation found by :func:`divergence_search`.
 
     ``evaluations`` counts objective values computed, ``rejected`` the
-    candidates refused by the ball test, the singularity gate or the solve,
-    and ``restarts`` the random starts drawn.
+    candidates refused by the ball test or the singularity gate (the inverse
+    comes from the gate's SVD, so no solve can refuse one), and ``restarts``
+    the random starts drawn.
     """
 
     matrix: np.ndarray | None
@@ -287,16 +288,19 @@ def divergence_search(
     then local ascent whose moves shrink the smallest singular value of the
     current iterate (steering it toward a nearby singular matrix whose
     kernel the conjugation violates) and kick it with rank-one probes
-    ``x y^H``.  Every move is clamped to ``0.9 (radius - ||U - Z||)``, so by
-    the triangle inequality each candidate lies inside the ball; the exact
-    ball test still checks it.  The full SVD a candidate takes for the
-    singularity gate is kept, and an accepted candidate hands it and its
-    distance to Z on to the next step, whose moves it sizes.
+    ``x y^H``, tried in that order until one improves; a kick is drawn only
+    once the moves before it have failed.  Every move is clamped to
+    ``0.9 (radius - ||U - Z||)``, so by the triangle inequality each
+    candidate lies inside the ball; the exact ball test still checks it.  The
+    full SVD ``U = W diag(s) V^H`` a candidate takes for the singularity
+    gate also gives its inverse ``V diag(1/s) W^H``, and an accepted
+    candidate hands it and its distance to Z on to the next step, whose
+    moves it sizes.  An evaluation thus takes three SVDs and no solve.
 
     The budget counts objective evaluations.  Every ascent step scores at
     most three candidates and computes at least one objective value unless
-    the singularity gate or the solve refuses its first candidate, so the
-    budget bounds the work.  It also bounds the number of random starts, so
+    the ball test or the singularity gate refuses its first candidate, so
+    the budget bounds the work.  It also bounds the number of random starts, so
     a search whose every start is refused still returns.  ``stop_at`` allows
     early exit once a caller threshold is certified.
 
@@ -334,17 +338,13 @@ def divergence_search(
         if d >= radius:
             rejected += 1
             return None
-        svd = np.linalg.svd(u)
-        if singular(svd[1]):
-            rejected += 1
-            return None
-        try:
-            b = _conjugate(u, A)
-        except np.linalg.LinAlgError:
+        svd = w, s, vh = np.linalg.svd(u)
+        if singular(s):
             rejected += 1
             return None
         evals += 1
-        val = operator_norm(apply(phi, b))
+        # U A U^{-1} with U^{-1} = V diag(1/s) W^H; the gate ensures s > 0
+        val = operator_norm(apply(phi, ((u @ A) @ vh.conj().T / s) @ w.conj().T))
         if val > best_val:
             best_val, best_mat = val, u.copy()
         return val, d, svd
@@ -379,17 +379,15 @@ def divergence_search(
         stall = 0
         while not done() and stall < 25:
             slack = 0.9 * (radius - d)
-            drop = min(0.75 * float(ss[-1]), slack)
-            candidates = [u - drop * np.outer(uu[:, -1], vv[-1])]
-            for _ in range(2):
-                x = ginibre(n, 1, rng)[:, 0]
-                y = ginibre(n, 1, rng)[:, 0]
-                x /= np.linalg.norm(x)
-                y /= np.linalg.norm(y)
-                eps = float(ss[-1]) * rng.uniform(0.3, 1.5) + 1e-3 * radius * rng.uniform()
-                candidates.append(u + min(eps, slack) * np.outer(x, y.conj()))
             improved = False
-            for cand in candidates:
+            for move in range(3):
+                if move == 0:
+                    cand = u - min(0.75 * float(ss[-1]), slack) * np.outer(uu[:, -1], vv[-1])
+                else:
+                    xy = ginibre(n, 2, rng)
+                    xy /= np.linalg.norm(xy, axis=0)
+                    eps = float(ss[-1]) * rng.uniform(0.3, 1.5) + 1e-3 * radius * rng.uniform()
+                    cand = u + min(eps, slack) * np.outer(xy[:, 0], xy[:, 1].conj())
                 scored = value(cand)
                 if done():
                     break
@@ -435,9 +433,7 @@ class Filtration:
                 if s.dim > prev.dim:
                     raise InvalidInputError("filtration must be descending")
                 if s.dim > 0:
-                    gap = np.linalg.norm(
-                        (np.eye(n) - prev.projector()) @ s.basis, 2
-                    )
+                    gap = operator_norm((np.eye(n) - prev.projector()) @ s.basis)
                     if gap > 1e-8:
                         raise InvalidInputError("filtration spaces are not nested")
             prev = s

@@ -112,3 +112,33 @@ def test_no_unused_parameters(path):
     exempt = {(name, "seed") for name in suite_runners(tree)}
     unused = unused_parameters(tree, exempt)
     assert not unused, f"{path.name} has parameters no code reads: {', '.join(unused)}"
+
+
+def two_norm_calls(tree: ast.Module) -> list:
+    """Lines of ``<...>linalg.norm(x, 2)`` calls, with the order given by
+    position or as ``ord=``."""
+    lines = []
+    for node in ast.walk(tree):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "norm"
+            and ast.unparse(node.func.value).endswith("linalg")
+        ):
+            continue
+        orders = node.args[1:2] + [k.value for k in node.keywords if k.arg == "ord"]
+        if any(isinstance(o, ast.Constant) and o.value == 2 for o in orders):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_operator_norm_is_the_only_2_norm():
+    # numkit.operator_norm is the one home of the operator 2-norm, so its
+    # validation and its cost are the same for every caller
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        if path.name != "numkit.py"
+        for line in two_norm_calls(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert not found, f"use numkit.operator_norm in place of np.linalg.norm(., 2): {found}"

@@ -504,6 +504,37 @@ class TestConjugationFamilyBound:
 
 
 class TestModifierValidation:
+    def test_general_norm_scale_is_computed_once(self, monkeypatch):
+        # the n^2 x n^2 SVD behind norm_scale is cached on the frozen modifier
+        n = 6
+        big = 0
+        svd = np.linalg.svd
+
+        def counting(m, *args, **kwargs):
+            nonlocal big
+            big += np.shape(m)[-2:] == (n * n, n * n)
+            return svd(m, *args, **kwargs)
+
+        for module in (np.linalg, np.linalg._linalg):
+            monkeypatch.setattr(module, "svd", counting)
+        phi = as_general(Modifier.delete_diagonal(n))
+        rng = np.random.default_rng(30)
+        z = random_singular(n, 2, rng)
+        for seed in range(2):
+            some_path_bounded(ginibre(n, rng=rng), z, phi, seed=seed)
+        assert big == 1
+
+    def test_data_is_a_read_only_copy(self):
+        # mutating the caller's array must not change the map or its norm scale
+        h = np.ones((3, 3), dtype=complex)
+        phi = Modifier.hadamard(h)
+        assert phi.norm_scale() == 1.0
+        h *= 10.0
+        assert phi.norm_scale() == 1.0
+        assert np.array_equal(apply(phi, np.eye(3)), np.eye(3))
+        with pytest.raises(ValueError):
+            phi.data[0, 0] = 2.0
+
     def test_wrong_hadamard_shape(self):
         with pytest.raises(InvalidInputError):
             Modifier("hadamard", 3, np.eye(2))

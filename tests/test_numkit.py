@@ -59,6 +59,32 @@ class TestOperatorNorm:
         with pytest.raises(InvalidInputError):
             operator_norm(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_equals_numpy_2_norm_exactly(self, n):
+        # the same LAPACK call as np.linalg.norm(., 2), so bitwise equal
+        rng = np.random.default_rng(n)
+        r = max(1, n // 2)
+        cases = [
+            ginibre(n, rng=rng),
+            ginibre(n, n + 3, rng),
+            np.zeros((n, n), dtype=complex),
+            ginibre(n, r, rng) @ ginibre(r, n, rng),
+            np.diag(np.arange(n) % 2).astype(complex),
+        ]
+        for m in cases:
+            assert operator_norm(m) == np.linalg.norm(m, 2)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_rejects_infinite(self, bad):
+        m = np.eye(3, dtype=complex)
+        m[1, 2] = bad
+        with pytest.raises(InvalidInputError):
+            operator_norm(m)
+
+    def test_rejects_vectors(self):
+        with pytest.raises(InvalidInputError, match="2-dimensional"):
+            operator_norm(np.ones(3))
+
 
 class TestPolyEval:
     @pytest.mark.parametrize("degree", [0, 1, 2, 3])

@@ -563,6 +563,28 @@ class TestDivergenceSearch:
         assert out.restarts >= 1
         assert calls <= 4 * out.evaluations
 
+    def test_evaluation_takes_no_solve_and_three_svds(self, monkeypatch):
+        # the gate's SVD gives the inverse, so an evaluation takes one SVD
+        # each for the ball test, the gate and the objective, and no solve; a
+        # restart takes at most 8 draws of two SVDs, the scalar test two
+        calls = {"svd": 0, "solve": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        for module in (np.linalg, np.linalg._linalg):
+            for name in calls:
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        a = ginibre(3, rng=np.random.default_rng(12))
+        out = divergence_search(a, np.eye(3), radius=0.025, budget=500, seed=0)
+        assert out.evaluations == 500
+        assert calls["solve"] == 0
+        assert calls["svd"] <= 3 * out.evaluations + 2 * 8 * out.restarts + 2
+
     def test_modifier_objective(self):
         out = divergence_search(
             unit(3, 1, 2),
