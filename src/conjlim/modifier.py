@@ -162,7 +162,7 @@ def apply(phi: Modifier, a) -> np.ndarray:
     n = phi.dim
     if m.shape[-2:] != (n, n):
         raise InvalidInputError(f"modifier dimension {n} does not match matrix {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise InvalidInputError("A contains non-finite entries")
     if phi.kind == "identity":
         return m.copy()

@@ -100,7 +100,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
         raise InvalidInputError(f"{name} must be 2-dimensional, got shape {m.shape}")
     if m.size == 0:
         raise InvalidInputError(f"{name} must be non-empty, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise InvalidInputError(f"{name} contains non-finite entries")
     return m
 
@@ -124,7 +124,7 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     x = np.asarray(v, dtype=np.complex128).reshape(-1)
     if x.size == 0:
         raise InvalidInputError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise InvalidInputError(f"{name} contains non-finite entries")
     return x
 
@@ -158,6 +158,9 @@ SINGULAR_REL = 1e-13
 def singular(s: np.ndarray):
     """Singularity gate on descending singular values ``s``: one vector, or a
     stack on the last axis (one verdict per matrix)."""
+    if s.ndim == 1:
+        # Python floats: numpy scalar arithmetic costs several times more
+        return float(s[-1]) <= SINGULAR_REL * max(1.0, float(s[0]))
     return s[..., -1] <= SINGULAR_REL * np.maximum(1.0, s[..., 0])
 
 

@@ -72,6 +72,11 @@ def log_grid(t_max: float = 1e-1, t_min: float = 1e-6, count: int = 26) -> np.nd
     return np.geomspace(t_max, t_min, count)
 
 
+#: The default grid, built once; read-only, so callers get copies.
+_DEFAULT_GRID = log_grid()
+_DEFAULT_GRID.setflags(write=False)
+
+
 @dataclass(frozen=True)
 class MatrixPath:
     """A path of matrices parametrized by small ``t > 0``.
@@ -139,7 +144,7 @@ class MatrixPath:
             return np.asarray(default, dtype=float)
         if self.kind == "samples":
             return np.array([t for t, _ in self.samples])
-        return log_grid()
+        return _DEFAULT_GRID.copy()
 
 
 @dataclass(frozen=True)
@@ -490,50 +495,59 @@ def preserves_filtration(a, filtration: Filtration, tol: Tolerance = DEFAULT_TOL
 # ---------------------------------------------------------------------------
 # Exact polynomial-path test.
 
-def _batched_adjugate(us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Adjugates of a stack of square matrices, and their singular values.
+def _batched_adjugate(us: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Adjugates of a stack of square matrices, their singular values and
+    their determinants.
 
     With ``U = W diag(s) V^H`` the adjugate is
     ``det(W) det(V^H) V diag(prod_{j != i} s_j) W^H`` (G. W. Stewart, "On the
-    adjugate matrix", LAA 283, 1998).  The products skipping one singular
-    value come from prefix and suffix products, never by division, so the
-    adjugate stays accurate where U is singular or nearly so.
+    adjugate matrix", LAA 283, 1998) and the determinant is
+    ``det(W) det(V^H) prod_j s_j``; the unit phase ``det(W V^H)`` takes one
+    LU per matrix.  The products skipping one singular value come from
+    prefix and suffix products, never by division, so the adjugate stays
+    accurate where U is singular or nearly so.
     """
     w, s, vh = np.linalg.svd(us)
-    count = us.shape[0]
-    phase = np.linalg.det(np.concatenate([w, vh])).reshape(2, count).prod(axis=0)
-    ones = np.ones((count, 1))
+    phase = np.linalg.det(w @ vh)
+    ones = np.ones((us.shape[0], 1))
     before = np.cumprod(np.concatenate([ones, s[:, :-1]], axis=1), axis=1)
     after = np.cumprod(np.concatenate([ones, s[:, :0:-1]], axis=1), axis=1)[:, ::-1]
     v = vh.conj().swapaxes(-1, -2)
-    return (phase[:, None, None] * v * (before * after)[:, None, :]) @ w.conj().swapaxes(-1, -2), s
+    adj = (phase[:, None, None] * v * (before * after)[:, None, :]) @ w.conj().swapaxes(-1, -2)
+    return adj, s, phase * s.prod(axis=1)
 
 
 def _poly_samples(z: np.ndarray, coeffs, a: np.ndarray):
     """Coefficients of det(path) and path*A*adj(path), interpolated from
-    their values at the ``n(p+1)+1`` roots of unity by an inverse DFT, and
-    the rounding level of the determinant samples."""
+    their values at the ``n p + 1`` roots of unity by an inverse DFT, and
+    the rounding level of the determinant samples.
+
+    A path of degree p has an adjugate of degree ``(n-1) p``, so both
+    polynomials have degree at most ``n p`` and ``n p + 1`` samples give
+    every coefficient without aliasing.
+    """
     n = z.shape[0]
-    count = n * (len(coeffs) + 1) + 1
+    count = n * len(coeffs) + 1
     us = poly_eval(z, coeffs, np.exp(2j * np.pi * np.arange(count) / count))
-    adj, s = _batched_adjugate(us)
+    adj, s, dets = _batched_adjugate(us)
     prods = us @ a @ adj
-    # rounding level of an LU determinant: a backward error of order
+    # rounding level of a determinant from the SVD: a backward error of order
     # eps*s_max moves det(U) by up to that times ||adj(U)|| = prod_{j<n-1} s_j
     noise = n * n * np.finfo(float).eps * (s[:, 0] * s[:, :-1].prod(axis=1)).max()
-    dets = np.fft.fft(np.linalg.det(us)) / count
-    return dets, np.fft.fft(prods, axis=0) / count, float(noise)
+    return np.fft.fft(dets) / count, np.fft.fft(prods, axis=0) / count, float(noise)
 
 
 def polynomial_growth_degrees(z, coeffs, a):
     """Lowest nonzero t-degrees of ``det(path)`` and ``path * A * adj(path)``.
 
-    Both polynomials are sampled at roots of unity, from one stacked path
-    evaluation, one batched determinant and the SVD form of the adjugate,
-    and their coefficients recovered by an inverse DFT.  Returns
-    ``(product_degree, det_degree)`` where a degree of ``None`` means the
-    polynomial vanishes identically: all its coefficients are zero, or, for
-    the determinant, at or below the rounding level of its samples.
+    Both polynomials have degree at most ``n p`` for a path of degree p, so
+    they are sampled at the ``n p + 1`` roots of unity, from one stacked
+    path evaluation and one batched SVD, which gives the adjugate in
+    Stewart's form and the determinant, and their coefficients recovered by
+    an inverse DFT.  Returns ``(product_degree, det_degree)`` where a degree
+    of ``None`` means the polynomial vanishes identically: all its
+    coefficients are zero, or, for the determinant, at or below the rounding
+    level of its samples.
     """
     Z = as_square(z, "Z")
     A = as_square_like(Z, a, "A")

@@ -142,3 +142,34 @@ def test_operator_norm_is_the_only_2_norm():
         for line in two_norm_calls(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert not found, f"use numkit.operator_norm in place of np.linalg.norm(., 2): {found}"
+
+
+def det_call_lines(tree: ast.Module, skip: str | None = None) -> list:
+    """Lines of ``<...>linalg.det(...)`` calls outside the function ``skip``."""
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == skip:
+            allowed.update(id(n) for n in ast.walk(node))
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "det"
+        and ast.unparse(node.func.value).endswith("linalg")
+        and id(node) not in allowed
+    ]
+
+
+def test_det_is_taken_once():
+    # the SVD adjugate gives every determinant the exact path test needs, so
+    # its unit phase is the only one an LU is taken for
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        for line in det_call_lines(
+            ast.parse(path.read_text(encoding="utf-8")),
+            "_batched_adjugate" if path.name == "pathsim.py" else None,
+        )
+    ]
+    assert not found, f"take determinants in pathsim._batched_adjugate only: {found}"

@@ -115,6 +115,22 @@ class TestSingularGate:
         stack = np.stack([np.eye(3), np.diag([1.0, 1.0, 0.0])])
         assert numkit.singular(np.linalg.svd(stack, compute_uv=False)).tolist() == [False, True]
 
+    def test_vector_fast_path_agrees_with_stack(self):
+        # sigma_max below, at and above the floor of 1; sigma_min on either
+        # side of the threshold and exactly at it; the zero vector
+        rel = numkit.SINGULAR_REL
+        vectors = [np.zeros(3)]
+        for top in (0.5, 1.0, 1.0 + 2**-40, 7.0, 1e6):
+            cut = rel * max(1.0, top)
+            for low in (0.0, cut * (1 - 1e-9), cut, cut * (1 + 1e-9), 0.5 * top):
+                vectors.append(np.array([top, top / 2, low]))
+        for s in vectors:
+            one = numkit.singular(s)
+            assert isinstance(one, bool)
+            assert one == bool(numkit.singular(s[None, :])[0])
+        assert numkit.singular(np.array([1.0, 0.0, rel]))
+        assert not numkit.singular(np.array([1.0, 0.0, np.nextafter(rel, 1.0)]))
+
 
 class TestTolerance:
     def test_defaults_valid(self):

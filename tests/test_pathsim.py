@@ -166,6 +166,16 @@ class TestSimulate:
         assert report.t_values.size == 13
         assert report.verdict == "divergent"
 
+    def test_default_grid_is_shared_but_each_report_owns_its_copy(self):
+        path = MatrixPath.linear(diag(1.0, 0.0), diag(0.0, 1.0))
+        first = simulate(path, unit(2, 0, 1))
+        second = simulate(path, unit(2, 0, 1))
+        assert np.array_equal(first.t_values, log_grid())
+        assert np.array_equal(second.t_values, log_grid())
+        first.t_values[:] = 0.5
+        assert np.array_equal(second.t_values, log_grid())
+        assert np.array_equal(simulate(path, unit(2, 0, 1)).t_values, log_grid())
+
 
 class TestSingularityGate:
     # diag(1, 0) + t diag(0, c) has sigma_min / sigma_max = c t: 5e-14 at
@@ -421,6 +431,38 @@ class TestPolynomialPathBounded:
                 assert polynomial_path_bounded(z, coeffs, a) is bounded
         assert singular_paths >= 10
 
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_degree_bound_is_reached(self, n, p):
+        # U(t) = t^p I: det U = t^{np} and U A adj(U) = t^{np} A reach the
+        # bound n p, which a DFT over n p points would alias onto degree 0
+        coeffs = [np.zeros((n, n))] * (p - 1) + [np.eye(n)]
+        a = ginibre(n, rng=np.random.default_rng(n + 10 * p))
+        assert polynomial_growth_degrees(np.zeros((n, n)), coeffs, a) == (n * p, n * p)
+
+    def test_takes_one_svd_and_one_det_over_the_samples(self, monkeypatch):
+        # both polynomials have degree at most n p, so n p + 1 samples; the
+        # SVD gives the adjugate and the determinant, whose unit phase takes
+        # the one batched det
+        calls = {"svd": [], "det": []}
+
+        def recording(name, fn):
+            def wrapped(m, *args, **kwargs):
+                calls[name].append(np.shape(m))
+                return fn(m, *args, **kwargs)
+
+            return wrapped
+
+        for module in (np.linalg, np.linalg._linalg):
+            for name in calls:
+                monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
+        rng = np.random.default_rng(13)
+        n, p = 4, 3
+        z = random_singular(n, 2, rng)
+        coeffs = [ginibre(n, rng=rng) for _ in range(p)]
+        polynomial_growth_degrees(z, coeffs, ginibre(n, rng=rng))
+        assert calls == {"svd": [(n * p + 1, n, n)], "det": [(n * p + 1, n, n)]}
+
     def test_agrees_with_simulation(self):
         rng = np.random.default_rng(6)
         checked = 0
@@ -468,6 +510,47 @@ class TestAdjugate:
             stack = np.stack([random_singular(n, r, rng) for r in range(n - 1)])
             for m, got in zip(stack, _batched_adjugate(stack)[0]):
                 assert np.linalg.norm(got, 2) <= 1e-12 * max(1.0, operator_norm(m)) ** (n - 1)
+
+    @staticmethod
+    def det_floor(stack):
+        """The determinant noise floor ``n^2 eps s_1 prod_{j<n-1} s_j``."""
+        n = stack.shape[-1]
+        _, s, det = _batched_adjugate(stack)
+        return det, n * n * np.finfo(float).eps * s[:, 0] * s[:, :-1].prod(axis=1)
+
+    def test_determinant_full_rank(self):
+        # each determinant lies within the floor of the exact one, and the
+        # SVD form also rounds its n + 1 factors
+        rng = np.random.default_rng(20)
+        for n in range(1, 7):
+            stack = np.stack([ginibre(n, rng=rng) for _ in range(4)])
+            det, floor = self.det_floor(stack)
+            want = np.linalg.det(stack)
+            eps = np.finfo(float).eps
+            assert np.all(np.abs(det - want) <= 2 * floor + (n + 1) * eps * np.abs(want))
+
+    def test_determinant_vanishes_at_corank_one_and_two(self):
+        # within the floor, so the degree test reads a path that is singular
+        # for every t as identically singular
+        rng = np.random.default_rng(21)
+        for n in range(2, 7):
+            for rank in (n - 1, n - 2):
+                stack = np.stack([random_singular(n, rank, rng) for _ in range(4)])
+                det, floor = self.det_floor(stack)
+                assert np.all(np.abs(det) <= floor)
+
+    def test_determinant_of_ill_conditioned_unit_path(self):
+        # I + t*s*u v^T with v^T u = 0 at the 7 sample points of n = 6, p = 1
+        n, s = 6, 1e3
+        u = np.ones(n) / np.sqrt(n)
+        v = np.zeros(n)
+        v[:2] = (1.0, -1.0)
+        v /= np.sqrt(2.0)
+        ts = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
+        stack = np.eye(n) + ts[:, None, None] * (s * np.outer(u, v))
+        det, floor = self.det_floor(stack)
+        assert np.all(np.abs(det - 1.0) <= floor)
+        assert np.all(np.abs(det - np.linalg.det(stack)) <= floor)
 
 
 class TestDivergenceSearch:
