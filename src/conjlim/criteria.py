@@ -115,11 +115,13 @@ def keeps_image_invariant(a, z, tol: Tolerance = DEFAULT_TOL) -> MembershipVerdi
     """Does ``A`` map ``im(Z)`` into ``im(Z)``?
 
     Decided by ``||(I - P) A B||`` with B an orthonormal image basis and P
-    the orthogonal projector onto the image.
+    the orthogonal projector onto the image.  The defect carries ``||A||``
+    but not ``||Z||``, so its threshold is ``residual_abs * max(1, ||A||)``,
+    that of the kernel test of ``I - P``.
     """
     A, Z = _pair(a, z)
     img = image_basis(Z, tol)
-    threshold = tol.residual_scale(operator_norm(Z) * operator_norm(A))
+    threshold = tol.residual_scale(operator_norm(A))
     n = Z.shape[0]
     if img.dim in (0, n):
         return MembershipVerdict(True, 0.0, None, threshold)

@@ -26,6 +26,7 @@ probability 1).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -438,6 +439,24 @@ class ConjugationBoundReport:
     eigenvalue_sum: float
 
 
+def _matchable(adjacent: np.ndarray) -> bool:
+    """Does the bipartite graph ``adjacent[i, j]`` (rows to columns) have a
+    perfect matching?  Kuhn's augmenting paths, O(n^3) on n x n."""
+    n = adjacent.shape[0]
+    owner = [-1] * n  # row matched to each column
+
+    def augment(i: int, seen: list) -> bool:
+        for j in np.flatnonzero(adjacent[i]):
+            if not seen[j]:
+                seen[j] = True
+                if owner[j] < 0 or augment(owner[j], seen):
+                    owner[j] = i
+                    return True
+        return False
+
+    return all(augment(i, [False] * n) for i in range(n))
+
+
 def conjugation_family_bound(
     mats,
     eig_tol: float = 1e-6,
@@ -450,8 +469,10 @@ def conjugation_family_bound(
 
     whenever ``sup_k ||J * B_k|| < offdiag_cap`` (otherwise the implication
     is vacuous and the report says so).  Similarity is spot-checked through
-    eigenvalue matching; a mismatch beyond ``eig_tol`` raises
-    :class:`ConjugationFamilyError`.
+    eigenvalue matching: each member's spectrum must admit a bottleneck
+    matching to that of ``B_0``, one that pairs every eigenvalue within
+    ``eig_tol * max(1, ||B_0||)``.  Otherwise :class:`ConjugationFamilyError`
+    names the smallest largest distance any matching achieves.
     """
     family = list(mats)
     if not family:
@@ -460,18 +481,16 @@ def conjugation_family_bound(
     family = [as_square_like(first, b, "family member") for b in family]
     n = first.shape[0]
 
-    # scipy.optimize takes most of the package's import time; load it here
-    from scipy.optimize import linear_sum_assignment
-
-    ref = np.sort_complex(np.linalg.eigvals(family[0]))
-    ref_scale = max(1.0, operator_norm(family[0]))
+    ref = np.linalg.eigvals(family[0])
+    bound = eig_tol * max(1.0, operator_norm(family[0]))
     for b in family[1:]:
-        eigs = np.linalg.eigvals(b)
-        cost = np.abs(ref[:, None] - eigs[None, :])
-        rows, cols = linear_sum_assignment(cost)
-        if float(cost[rows, cols].max()) > eig_tol * ref_scale:
+        cost = np.abs(ref[:, None] - np.linalg.eigvals(b)[None, :])
+        if not _matchable(cost <= bound):
+            # the largest distance admits a matching, so the search ends there
+            levels = np.unique(cost)
+            worst = levels[bisect_left(levels, True, key=lambda d: _matchable(cost <= d))]
             raise ConjugationFamilyError(
-                f"eigenvalues differ by {cost[rows, cols].max():.3e}; "
+                f"eigenvalues differ by {worst:.3e}; "
                 "matrices are not a conjugation family"
             )
 

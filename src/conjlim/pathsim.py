@@ -520,7 +520,7 @@ def _batched_adjugate(us: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 def _poly_samples(z: np.ndarray, coeffs, a: np.ndarray):
     """Coefficients of det(path) and path*A*adj(path), interpolated from
     their values at the ``n p + 1`` roots of unity by an inverse DFT, and
-    the rounding level of the determinant samples.
+    the noise floor of the determinant samples.
 
     A path of degree p has an adjugate of degree ``(n-1) p``, so both
     polynomials have degree at most ``n p`` and ``n p + 1`` samples give
@@ -531,8 +531,12 @@ def _poly_samples(z: np.ndarray, coeffs, a: np.ndarray):
     us = poly_eval(z, coeffs, np.exp(2j * np.pi * np.arange(count) / count))
     adj, s, dets = _batched_adjugate(us)
     prods = us @ a @ adj
-    # rounding level of a determinant from the SVD: a backward error of order
-    # eps*s_max moves det(U) by up to that times ||adj(U)|| = prod_{j<n-1} s_j
+    # noise floor of a determinant from the SVD: a backward error of order
+    # eps*s_max moves det(U) by about that times ||adj(U)|| = prod_{j<n-1} s_j.
+    # It is no bound at n <= 2, where rounding the phase and the modulus can
+    # exceed it; no verdict rests on that, since only the largest DFT
+    # coefficient is compared with it, to tell a determinant that vanishes
+    # identically from one that does not
     noise = n * n * np.finfo(float).eps * (s[:, 0] * s[:, :-1].prod(axis=1)).max()
     return np.fft.fft(dets) / count, np.fft.fft(prods, axis=0) / count, float(noise)
 
@@ -546,8 +550,8 @@ def polynomial_growth_degrees(z, coeffs, a):
     Stewart's form and the determinant, and their coefficients recovered by
     an inverse DFT.  Returns ``(product_degree, det_degree)`` where a degree
     of ``None`` means the polynomial vanishes identically: all its
-    coefficients are zero, or, for the determinant, at or below the rounding
-    level of its samples.
+    coefficients are zero, or, for the determinant, its largest coefficient
+    is at or below the noise floor of its samples.
     """
     Z = as_square(z, "Z")
     A = as_square_like(Z, a, "A")

@@ -35,6 +35,34 @@ def test_import_does_not_load_scipy():
     assert proc.stdout.strip() == "False"
 
 
+def test_runs_with_scipy_hidden():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    code = """
+import sys
+
+class HideScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is hidden")
+
+sys.meta_path.insert(0, HideScipy())
+import numpy as np
+import conjlim, conjlim.cli
+from conjlim.modifier import conjugation_family_bound
+from conjlim.suites import run_suite
+
+print(conjugation_family_bound([np.diag([1.0, 2.0]), np.diag([2.0, 1.0])]).ok)
+print(run_suite("appendix-a", 7).passed)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "True"]
+
+
 def run(args):
     return cli.main([str(a) for a in args])
 

@@ -76,6 +76,17 @@ class TestImageInvariance:
     def test_diagonal_member(self):
         assert keeps_image_invariant(np.diag([5.0, 0, 0]), diag_projector(3, 1)).member
 
+    @pytest.mark.parametrize("s", [1e-12, 1.0, 1e10, 1e12])
+    def test_verdict_free_of_the_scale_of_z(self, s):
+        # the defect ||(I - P) A B|| is measured on an orthonormal basis, so
+        # scaling Z must move neither it nor its threshold
+        z = s * np.diag([1.0, 0.0])
+        a = np.array([[1.0, 0.0], [1.0, 1.0]])
+        verdict = keeps_image_invariant(a, z)
+        assert not verdict.member
+        assert verdict.threshold == keeps_kernel_invariant(a, np.diag([0.0, 1.0])).threshold
+        assert keeps_image_invariant(np.diag([5.0, 0.0]), z).member
+
     def test_matches_kernel_test_of_cokernel_projector(self):
         # A keeps im(Z) invariant iff A keeps ker(Q) invariant for the
         # orthogonal projector Q onto ker(Z^H), since ker(Q) = im(Z).

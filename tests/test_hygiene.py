@@ -1,14 +1,18 @@
 """Static checks on the package source, with the standard library only:
 no module imports a name it never uses, every name listed in a module's
-``__all__`` exists, and every function reads each of its parameters."""
+``__all__`` exists, every function reads each of its parameters, and the
+package imports exactly the dependencies ``pyproject.toml`` declares."""
 
 import ast
 import importlib
+import re
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "conjlim"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "conjlim"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -173,3 +177,30 @@ def test_det_is_taken_once():
         )
     ]
     assert not found, f"take determinants in pathsim._batched_adjugate only: {found}"
+
+
+def imported_packages(tree: ast.Module) -> set:
+    """Top-level package of every absolute import, wherever it sits."""
+    packages = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            packages.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            packages.add(node.module.split(".")[0])
+    return packages
+
+
+def test_imports_match_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = {
+        re.match(r"[A-Za-z0-9_.-]+", spec).group().lower().replace("-", "_")
+        for spec in project["dependencies"]
+    }
+    imported = set().union(
+        *(imported_packages(ast.parse(p.read_text(encoding="utf-8"))) for p in SOURCES)
+    )
+    undeclared = imported - declared - set(sys.stdlib_module_names) - {"conjlim"}
+    assert not undeclared, f"imported but not in pyproject.toml dependencies: {sorted(undeclared)}"
+    unused = declared - imported
+    assert not unused, f"declared in pyproject.toml but never imported: {sorted(unused)}"

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -501,6 +503,39 @@ class TestConjugationFamilyBound:
         rng = np.random.default_rng(15)
         with pytest.raises(ConjugationFamilyError):
             conjugation_family_bound([ginibre(3, rng=rng), ginibre(3, rng=rng)])
+
+    def test_matches_by_bottleneck_not_by_sum(self):
+        # {0, x} against {0, y} with |x| = |y| = 2d and |x - y| = 2.5d: pairing
+        # 0 with y and x with 0 keeps every distance at 2d, while the pairing
+        # of least total distance, 0 with 0 and x with y, reaches 2.5d
+        d = 1e-7
+        x, y = 2 * d, 2 * d * np.exp(2j * np.arcsin(0.625))
+        assert abs(x - y) == pytest.approx(2.5 * d)
+        family = [np.diag([0, x]).astype(complex), np.diag([0, y])]
+        assert conjugation_family_bound(family, eig_tol=2.2e-7).ok
+        with pytest.raises(ConjugationFamilyError, match="differ by 2.000e-07"):
+            conjugation_family_bound(family, eig_tol=1.9e-7)
+
+    def test_matching_agrees_with_brute_force(self):
+        # spectra inside the unit disc keep the scale max(1, ||B_0||) at 1, so
+        # eig_tol is the distance itself
+        rng = np.random.default_rng(16)
+        overstated = 0
+        for _ in range(600):
+            n = int(rng.integers(1, 7))
+            ref = 0.5 * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
+            moved = rng.permutation(ref) + 0.2 * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
+            family = [np.diag(ref), np.diag(moved)]
+            a, b = (np.linalg.eigvals(m) for m in family)
+            perms = np.array(list(itertools.permutations(range(n))))
+            paired = np.abs(a[None, :] - b[perms])
+            best = paired.max(axis=1).min()
+            overstated += paired[paired.sum(axis=1).argmin()].max() > best
+            conjugation_family_bound(family, eig_tol=best)  # the spectra match: no raise
+            with pytest.raises(ConjugationFamilyError, match=f"differ by {best:.3e};"):
+                conjugation_family_bound(family, eig_tol=np.nextafter(best, 0.0))
+        # the draws include spectra where a minimum-sum matching reads high
+        assert overstated > 0
 
 
 class TestModifierValidation:
