@@ -27,10 +27,11 @@ from .numkit import (
     Tolerance,
     as_square,
     as_square_like,
-    image_basis,
     kernel_basis,
     operator_norm,
     orthonormal_complement,
+    singular,
+    svd_rank,
 )
 
 __all__ = [
@@ -99,34 +100,34 @@ def keeps_kernel_invariant(a, z, tol: Tolerance = DEFAULT_TOL) -> MembershipVerd
     """Does ``A`` map ``ker(Z)`` into ``ker(Z)``?
 
     Decided by the residual ``||Z A K||`` over an orthonormal kernel basis K,
-    at threshold ``residual_abs * max(1, ||Z|| ||A||)``.  The witness on
-    failure is the first kernel basis vector x with ``ZAx != 0``.
+    at threshold ``residual_abs * max(1, ||Z|| ||A||)``, with ``K = vh[r:]^H``
+    and ``||Z|| = s[0]`` read off the one SVD of :func:`numkit.svd_rank`.
+    The witness on failure is the first kernel basis vector x with ``ZAx != 0``.
     """
     A, Z = _pair(a, z)
-    ker = kernel_basis(Z, tol)
-    threshold = tol.residual_scale(operator_norm(Z) * operator_norm(A))
-    if ker.dim == 0:
+    _, s, vh, r = svd_rank(Z, tol)
+    threshold = tol.residual_scale(float(s[0]) * operator_norm(A))
+    if r == Z.shape[0]:
         return MembershipVerdict(True, 0.0, None, threshold)
-    defect = Z @ A @ ker.basis
-    return _invariance_verdict(defect, ker.basis, threshold)
+    ker = vh[r:].conj().T
+    return _invariance_verdict(Z @ A @ ker, ker, threshold)
 
 
 def keeps_image_invariant(a, z, tol: Tolerance = DEFAULT_TOL) -> MembershipVerdict:
     """Does ``A`` map ``im(Z)`` into ``im(Z)``?
 
-    Decided by ``||(I - P) A B||`` with B an orthonormal image basis and P
-    the orthogonal projector onto the image.  The defect carries ``||A||``
-    but not ``||Z||``, so its threshold is ``residual_abs * max(1, ||A||)``,
-    that of the kernel test of ``I - P``.
+    Decided by ``||L^H A B|| = ||(I - P) A B||``, with ``B = u[:, :r]`` and
+    ``L = u[:, r:]`` read off the one SVD of :func:`numkit.svd_rank` and P
+    the projector onto im Z.  The defect carries ``||A||`` but not ``||Z||``,
+    so its threshold is ``residual_abs * max(1, ||A||)``.
     """
     A, Z = _pair(a, z)
-    img = image_basis(Z, tol)
+    u, _, _, r = svd_rank(Z, tol)
     threshold = tol.residual_scale(operator_norm(A))
     n = Z.shape[0]
-    if img.dim in (0, n):
+    if r in (0, n):
         return MembershipVerdict(True, 0.0, None, threshold)
-    defect = (np.eye(n) - img.projector()) @ A @ img.basis
-    return _invariance_verdict(defect, img.basis, threshold)
+    return _invariance_verdict(u[:, r:].conj().T @ A @ u[:, :r], u[:, :r], threshold)
 
 
 def _check_pole_pair(Z: np.ndarray, C: np.ndarray, tol: Tolerance) -> None:
@@ -210,12 +211,12 @@ def kernel_algebra_basis(z, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
     return basis
 
 
-def conjugate_family(mats, p, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
-    """Conjugate every matrix in ``mats`` by an invertible ``p``:
-    returns ``[p^{-1} B p for B in mats]``."""
+def conjugate_family(mats, p) -> list[np.ndarray]:
+    """``[p^{-1} B p for B in mats]``; :class:`SingularMatrixError` when
+    :func:`numkit.singular` gates ``p``."""
     P = as_square(p, "p")
     s = np.linalg.svd(P, compute_uv=False)
-    if s[-1] <= tol.rank_rel * max(1.0, float(s[0])):
+    if singular(s):
         raise SingularMatrixError(f"conjugating matrix is singular: sigma_min={s[-1]:.3e}")
     out = []
     for b in mats:

@@ -19,11 +19,10 @@ from .numkit import (
     DEFAULT_TOL,
     ConjlimError,
     InvalidInputError,
+    Subspace,
     Tolerance,
-    _svd_rank,
     as_square,
     as_square_like,
-    image_basis,
     kernel_basis,
     matrix_from_json,
     matrix_to_json,
@@ -32,6 +31,7 @@ from .numkit import (
     singular,
     subspace_equal,
     subspace_intersection,
+    svd_rank,
 )
 
 __all__ = [
@@ -51,6 +51,9 @@ __all__ = [
 #: Relative least-squares residual above which coefficient matching is
 #: declared infeasible (the inverse has a pole of order >= 2).
 LAURENT_REJECT_REL = 1e-6
+
+#: Relative residual of the inverse identity above which validate() fails.
+VALIDATE_RESIDUAL_REL = 1e-8
 
 #: Small path parameters sampled to confirm invertibility near zero.
 _SAMPLE_TS = (1e-2, 1e-3, 1e-4)
@@ -173,10 +176,10 @@ class GoodPath:
         norms += [operator_norm(c) for c in self.inverse_series]
         return max(1.0, *norms)
 
-    def validate(self, residual_tol: float = 1e-8) -> None:
+    def validate(self) -> None:
         """Raise :class:`NotAGoodPathError` unless every coefficient residual
-        is below ``residual_tol`` scaled by the coefficient norms and the
-        pole annihilates the base within the stored tolerance.
+        is below :data:`VALIDATE_RESIDUAL_REL` scaled by the coefficient
+        norms and the pole annihilates the base within the stored tolerance.
 
         The residuals cannot see an error in the last series coefficient
         ``C_N`` along directions X with ``ZX = XZ = 0``: ``C_N`` enters only
@@ -184,9 +187,10 @@ class GoodPath:
         """
         scale = self.coefficient_scale()
         res = self.product_residuals()
-        if float(res.max()) > residual_tol * scale:
+        if float(res.max()) > VALIDATE_RESIDUAL_REL * scale:
             raise NotAGoodPathError(
-                f"inverse identity residual {res.max():.3e} exceeds {residual_tol:.1e} * {scale:.3e}"
+                f"inverse identity residual {res.max():.3e} exceeds "
+                f"{VALIDATE_RESIDUAL_REL:.1e} * {scale:.3e}"
             )
         ann = self.annihilation_residual()
         if ann > self.tol.residual_scale(operator_norm(self.base) * scale):
@@ -244,8 +248,7 @@ def construct_good_path(z, tol: Tolerance = DEFAULT_TOL, order: int = 8) -> Good
     n = Z.shape[0]
     if order < 0:
         raise InvalidInputError(f"order must be nonnegative, got {order}")
-    u, s, vh = np.linalg.svd(Z)
-    rank = _svd_rank(s, tol.rank_rel)
+    u, s, vh, rank = svd_rank(Z, tol)
     unitary = u @ vh
     v = vh.conj().T
     v_ker = v[:, rank:]
@@ -319,9 +322,11 @@ def is_pole_coefficient(c, z, tol: Tolerance = DEFAULT_TOL) -> bool:
     matrices arising as the pole of some simple-pole path to Z."""
     C = as_square(c, "C")
     Z = as_square_like(C, z, "Z")
-    if not subspace_equal(image_basis(C, tol), kernel_basis(Z, tol), tol):
+    uc, _, vhc, rc = svd_rank(C, tol)
+    uz, _, vhz, rz = svd_rank(Z, tol)
+    if not subspace_equal(Subspace(uc[:, :rc], tol), Subspace(vhz[rz:].conj().T, tol), tol):
         return False
-    return subspace_equal(image_basis(Z, tol), kernel_basis(C, tol), tol)
+    return subspace_equal(Subspace(uz[:, :rz], tol), Subspace(vhc[rc:].conj().T, tol), tol)
 
 
 def dual_path(gp: GoodPath) -> GoodPath:

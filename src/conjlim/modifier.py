@@ -41,10 +41,10 @@ from .numkit import (
     as_square,
     as_square_like,
     _readonly,
-    _svd_rank,
     ginibre,
     operator_norm,
     random_unitary,
+    svd_rank,
 )
 
 __all__ = [
@@ -72,6 +72,9 @@ INVERTIBILITY_REL = 1e-8
 #: Default number of random draws before declaring the solution space free
 #: of invertible elements.
 DEFAULT_DRAWS = 16
+
+#: ``sup ||J * B_k||`` from which :func:`conjugation_family_bound` is vacuous.
+OFFDIAG_CAP = 1e6
 
 
 class CertificateError(ConjlimError):
@@ -187,8 +190,7 @@ def _membership_existential(
     # every C with im(C) = ker(Z), ker(C) = im(Z) is K X L^H with X
     # invertible, for orthonormal bases K of ker(Z) and L of ker(Z^H); one
     # SVD and one rank decision give both, so dim K = dim L
-    u, s, vh = np.linalg.svd(Z)
-    r = _svd_rank(s, tol.rank_rel)
+    u, s, vh, r = svd_rank(Z, tol)
     kb = vh[r:].conj().T
     lb = u[:, r:]
     k = kb.shape[1]
@@ -457,17 +459,13 @@ def _matchable(adjacent: np.ndarray) -> bool:
     return all(augment(i, [False] * n) for i in range(n))
 
 
-def conjugation_family_bound(
-    mats,
-    eig_tol: float = 1e-6,
-    offdiag_cap: float = 1e6,
-) -> ConjugationBoundReport:
+def conjugation_family_bound(mats, eig_tol: float = 1e-6) -> ConjugationBoundReport:
     """For a family of mutually similar matrices, check the quantitative
     transfer "bounded off-diagonals imply a bounded family":
 
         sup_k ||B_k|| <= (2n + 1) * sup_k ||J * B_k|| + sum_i |lambda_i(B_0)|
 
-    whenever ``sup_k ||J * B_k|| < offdiag_cap`` (otherwise the implication
+    whenever ``sup_k ||J * B_k|| < OFFDIAG_CAP`` (otherwise the implication
     is vacuous and the report says so).  Similarity is spot-checked through
     eigenvalue matching: each member's spectrum must admit a bottleneck
     matching to that of ``B_0``, one that pairs every eigenvalue within
@@ -499,7 +497,7 @@ def conjugation_family_bound(
     sup_off = max(operator_norm(apply(j, b)) for b in family)
     c1 = 2.0 * n + 1.0
     c2 = float(np.abs(ref).sum())
-    vacuous = sup_off >= offdiag_cap
+    vacuous = sup_off >= OFFDIAG_CAP
     ok = vacuous or sup_full <= c1 * sup_off + c2 + 1e-9 * max(1.0, sup_full)
     return ConjugationBoundReport(
         ok=ok,

@@ -1,7 +1,8 @@
 """Dense complex linear algebra shared by every other module.
 
-Matrices are plain ``numpy.ndarray`` objects with complex128 entries.  Rank
-decisions use a relative singular-value cutoff, subspaces are always stored
+Matrices are plain ``numpy.ndarray`` objects with complex128 entries.  The
+one rank decision is :func:`svd_rank`, a relative cutoff on one full SVD
+from which every kernel, image and rank is read; subspaces are always stored
 with orthonormal bases so that equality and containment reduce to projector
 norm tests, and the matrix norm is the operator 2-norm throughout.
 """
@@ -25,6 +26,7 @@ __all__ = [
     "as_vector",
     "operator_norm",
     "poly_eval",
+    "svd_rank",
     "rank_of",
     "SINGULAR_REL",
     "singular",
@@ -164,18 +166,19 @@ def singular(s: np.ndarray):
     return s[..., -1] <= SINGULAR_REL * np.maximum(1.0, s[..., 0])
 
 
-def _svd_rank(s: np.ndarray, rank_rel: float) -> int:
-    smax = float(s[0]) if s.size else 0.0
-    if smax <= 0.0:
-        return 0
-    return int(np.count_nonzero(s > rank_rel * smax))
+def svd_rank(m, tol: Tolerance = DEFAULT_TOL):
+    """One full SVD ``m = u @ diag(s) @ vh`` and the numerical rank r, the
+    number of ``sigma > rank_rel * sigma_max`` (0 for a zero matrix), as
+    ``(u, s, vh, r)``: ``vh[r:]^H`` spans ker m, ``u[:, :r]`` im m and
+    ``u[:, r:]`` ker m^H."""
+    u, s, vh = np.linalg.svd(as_matrix(m))
+    r = int(np.count_nonzero(s > tol.rank_rel * s[0])) if s[0] > 0.0 else 0
+    return u, s, vh, r
 
 
 def rank_of(m, tol: Tolerance = DEFAULT_TOL) -> int:
     """Numerical rank at the relative cutoff of ``tol``."""
-    a = as_matrix(m)
-    s = np.linalg.svd(a, compute_uv=False)
-    return _svd_rank(s, tol.rank_rel)
+    return svd_rank(m, tol)[3]
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -241,22 +244,14 @@ class Subspace:
 
 
 def kernel_basis(m, tol: Tolerance = DEFAULT_TOL) -> Subspace:
-    """Orthonormal basis of the numerical null space of ``m``.
-
-    Singular directions with ``sigma <= rank_rel * sigma_max`` span the
-    kernel; a zero matrix has the full domain as kernel.
-    """
-    a = as_matrix(m)
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
-    r = _svd_rank(s, tol.rank_rel)
+    """Orthonormal basis of the numerical null space of ``m`` (:func:`svd_rank`)."""
+    _, _, vh, r = svd_rank(m, tol)
     return Subspace(vh[r:].conj().T, tol)
 
 
 def image_basis(m, tol: Tolerance = DEFAULT_TOL) -> Subspace:
-    """Orthonormal basis of the numerical column space of ``m``."""
-    a = as_matrix(m)
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    r = _svd_rank(s, tol.rank_rel)
+    """Orthonormal basis of the numerical column space of ``m`` (:func:`svd_rank`)."""
+    u, _, _, r = svd_rank(m, tol)
     return Subspace(u[:, :r], tol)
 
 

@@ -268,6 +268,18 @@ class TestConjugateFamily:
         with pytest.raises(SingularMatrixError):
             conjugate_family([np.eye(2)], np.diag([1.0, 0.0]))
 
+    @pytest.mark.parametrize("small", [1e-11, 1e-12, 1e-14, 0.0])
+    def test_gate_is_numkit_singular(self, small):
+        # the package-wide gate, SINGULAR_REL = 1e-13, not the rank cutoff
+        p = np.diag([1.0, small])
+        b = np.array([[1.0, 2.0], [3.0, 4.0]])
+        if small < 1e-13:
+            with pytest.raises(SingularMatrixError):
+                conjugate_family([b], p)
+        else:
+            (out,) = conjugate_family([b], p)
+            assert np.allclose(p @ out, b @ p, rtol=0, atol=1e-12)
+
     @staticmethod
     def _span_projector(mats):
         stacked = np.stack([m.reshape(-1) for m in mats]).T

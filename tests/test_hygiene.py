@@ -1,7 +1,8 @@
 """Static checks on the package source, with the standard library only:
 no module imports a name it never uses, every name listed in a module's
-``__all__`` exists, every function reads each of its parameters, and the
-package imports exactly the dependencies ``pyproject.toml`` declares."""
+``__all__`` exists, every function reads each of its parameters, ranks are
+cut in ``numkit`` only, and the package imports exactly the dependencies
+``pyproject.toml`` declares."""
 
 import ast
 import importlib
@@ -177,6 +178,30 @@ def test_det_is_taken_once():
         )
     ]
     assert not found, f"take determinants in pathsim._batched_adjugate only: {found}"
+
+
+def rank_cut_lines(tree: ast.Module) -> list:
+    """Lines that read ``<...>.rank_rel`` or import ``_svd_rank``: the
+    ingredients of a rank decision of a module's own."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "rank_rel":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and any(a.name == "_svd_rank" for a in node.names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_rank_is_cut_in_numkit_only():
+    # numkit.svd_rank is the one rank decision; every kernel, image and
+    # rank is read off its SVD, so no two modules can cut Z differently
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        if path.name != "numkit.py"
+        for line in rank_cut_lines(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert not found, f"cut ranks with numkit.svd_rank: {found}"
 
 
 def imported_packages(tree: ast.Module) -> set:

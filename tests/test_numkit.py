@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conjlim import numkit
+from conjlim import criteria, goodpath, modifier, numkit
 from conjlim.numkit import (
     InvalidInputError,
     NotPSDError,
@@ -25,6 +25,7 @@ from conjlim.numkit import (
     rank_of,
     subspace_equal,
     subspace_intersection,
+    svd_rank,
 )
 
 
@@ -275,6 +276,75 @@ class TestRankOf:
         rng = np.random.default_rng(13)
         for n, r in [(3, 1), (5, 3), (4, 0), (4, 4)]:
             assert rank_of(random_singular(n, r, rng)) == r
+
+
+class TestSvdRank:
+    def test_cut_is_relative_and_strict(self):
+        # sigma <= rank_rel * sigma_max is null, at any scale of the matrix
+        for scale in (1e-20, 1.0, 1e20):
+            m = scale * np.diag([1.0, 2e-10, 1e-10, 5e-11])
+            assert svd_rank(m)[3] == 2
+        assert svd_rank(np.diag([1.0, 1e-4]), Tolerance(rank_rel=1e-3))[3] == 1
+
+    def test_zero_matrix_has_rank_zero(self):
+        u, s, vh, r = svd_rank(np.zeros((3, 3)))
+        assert r == 0 and vh[r:].shape == (3, 3)
+
+    @pytest.mark.parametrize("shape", [(3, 5), (5, 3)])
+    def test_full_factors_of_a_rectangular_matrix(self, shape):
+        rng = np.random.default_rng(21)
+        m = ginibre(*shape, rng=rng)[:, :1] @ ginibre(1, shape[1], rng=rng)
+        u, s, vh, r = svd_rank(m)
+        assert (u.shape, vh.shape, r) == ((shape[0],) * 2, (shape[1],) * 2, 1)
+        assert np.linalg.norm(m @ vh[r:].conj().T) <= 1e-12
+        assert np.linalg.norm(u[:, r:].conj().T @ m) <= 1e-12
+
+    def test_rejects_invalid_input(self):
+        with pytest.raises(InvalidInputError):
+            svd_rank(np.array([[np.nan]]))
+
+
+class TestSvdCounts:
+    """Each public criterion reads its bases and ``||Z||`` off one SVD of Z
+    (n = 6, rank 3); the pole test also splits C once.  ``==`` pins an exact
+    count, ``<=`` a ceiling."""
+
+    N = 6
+    J = modifier.Modifier.delete_diagonal(N)
+    CALLS = {  # name: (call on (A, Z, C), count, exact)
+        "keeps_kernel_invariant": (lambda a, z, c: criteria.keeps_kernel_invariant(a, z), 3, 0),
+        "keeps_image_invariant": (lambda a, z, c: criteria.keeps_image_invariant(a, z), 3, 0),
+        "is_pole_coefficient": (lambda a, z, c: goodpath.is_pole_coefficient(c, z), 8, 0),
+        "construct_good_path": (lambda a, z, c: goodpath.construct_good_path(z), 1, 1),
+        "some_path_bounded": (
+            lambda a, z, c: modifier.some_path_bounded(a, z, TestSvdCounts.J, seed=0), 3, 1
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_svd_count(self, name, monkeypatch):
+        call, limit, exact = self.CALLS[name]
+        rng = np.random.default_rng(22)
+        z = random_singular(self.N, 3, rng)
+        a = ginibre(self.N, rng=rng)
+        c = goodpath.construct_good_path(z).inverse_pole
+        count = 0
+
+        def counting(svd):
+            def wrapped(*args, **kwargs):
+                nonlocal count
+                count += 1
+                return svd(*args, **kwargs)
+
+            return wrapped
+
+        # norm(., 2) calls the private module's svd, not numpy.linalg.svd
+        for module in (np.linalg, np.linalg._linalg):
+            monkeypatch.setattr(module, "svd", counting(module.svd))
+        result = call(a, z, c)
+        if name == "is_pole_coefficient":
+            assert result  # every Gram check and comparison ran
+        assert count == limit if exact else count <= limit
 
 
 class TestMatrixJson:
