@@ -22,6 +22,7 @@ from .numkit import (
     as_square,
     as_square_like,
     as_vector,
+    gated_inverse,
     ginibre,
     kernel_basis,
     operator_norm,
@@ -138,10 +139,19 @@ class MatrixPath:
         return np.stack([self.samples[j][1] for j in hits.argmax(axis=1)])
 
     def grid(self, default: np.ndarray | None = None) -> np.ndarray:
-        """``default`` when given, else the sample parameters of a samples
-        path and :func:`log_grid` for the other kinds."""
+        """A copy of ``default`` when given, else the sample parameters of a
+        samples path and :func:`log_grid` for the other kinds.
+
+        Raises :class:`~conjlim.numkit.InvalidInputError` unless ``default``
+        is a non-empty 1-d array of finite positive t.
+        """
         if default is not None:
-            return np.asarray(default, dtype=float)
+            ts = np.array(default, dtype=float)
+            if ts.ndim != 1 or ts.size == 0:
+                raise InvalidInputError(f"grid must be non-empty and 1-d, got shape {ts.shape}")
+            if not (np.isfinite(ts).all() and (ts > 0).all()):
+                raise InvalidInputError("grid points must be finite and positive")
+            return ts
         if self.kind == "samples":
             return np.array([t for t, _ in self.samples])
         return _DEFAULT_GRID.copy()
@@ -179,11 +189,6 @@ class GrowthReport:
         }
 
 
-def _conjugate(u: np.ndarray, a: np.ndarray) -> np.ndarray:
-    # U A U^{-1} for one U or a stack: (U A) U^{-1} = solve(U^T, (U A)^T)^T
-    return np.linalg.solve(u.swapaxes(-1, -2), (u @ a).swapaxes(-1, -2)).swapaxes(-1, -2)
-
-
 def simulate(
     path: MatrixPath,
     a,
@@ -194,13 +199,19 @@ def simulate(
     exponent on the smallest decade.
 
     The whole grid is evaluated as one ``(count, n, n)`` stack: one path
-    evaluation, one batched singularity gate, one batched solve for the
-    conjugates, one modifier application and one batched norm.
+    evaluation, one batched LU inverse that gives both the conjugates
+    ``(U A) U^{-1}`` and the singularity gate
+    (:func:`~conjlim.numkit.gated_inverse`, which takes singular values only
+    of the points its residual certificate cannot clear), one modifier
+    application and one batched norm.
 
     Raises :class:`PathSingularError` if the path is singular at a grid
     point under :func:`~conjlim.numkit.singular`, naming the first such t in
-    grid order.  Near-constant windows are treated as perfect bounded fits;
-    norms vanishing over the smallest decade report ``alpha = 0``.
+    grid order, and :class:`~conjlim.numkit.InvalidInputError` for a grid
+    that is not a non-empty 1-d array of finite positive t or whose fit
+    window holds fewer than two distinct t.  Near-constant windows are
+    treated as perfect bounded fits; norms vanishing over the smallest
+    decade report ``alpha = 0``.
     """
     A = as_square(a, "A")
     n = A.shape[0]
@@ -210,10 +221,10 @@ def simulate(
         phi = Modifier.identity(n)
     ts = path.grid(grid)
     us = path.values(ts)
-    gate = singular(np.linalg.svd(us, compute_uv=False))
+    inv, gate = gated_inverse(us)
     if gate.any():
         raise PathSingularError(f"path is singular at grid point t = {ts[gate.argmax()]}")
-    norms = np.linalg.svd(apply(phi, _conjugate(us, A)), compute_uv=False)[:, 0]
+    norms = np.linalg.svd(apply(phi, (us @ A) @ inv), compute_uv=False)[:, 0]
 
     # fit on the smallest decade, widened to the three smallest points when
     # the decade holds fewer
@@ -222,22 +233,25 @@ def simulate(
     if window.sum() < 3:
         window[np.argsort(ts)[:3]] = True
     lt, ln = np.log(ts[window]), np.log(np.maximum(norms[window], 1e-300))
+    if lt.min() == lt.max():
+        raise InvalidInputError("the fit window needs at least two distinct t")
 
     if np.all(norms[decade] < 1e-150):
         alpha, r2 = 0.0, 1.0
     else:
-        fit = np.polyfit(lt, ln, 1)
-        alpha = float(-fit[0])
+        # least-squares line through the centred logs
+        dt, dn = lt - lt.mean(), ln - ln.mean()
+        slope = float(dt @ dn) / float(dt @ dt)
+        alpha = -slope
         spread = float(ln.max() - ln.min())
         if spread < 1e-3:
             # constancy at this level is a trustworthy bounded signal even
             # when residual noise wrecks the regression r^2
             r2 = 1.0
         else:
-            pred = np.polyval(fit, lt)
-            ss_res = float(np.sum((ln - pred) ** 2))
-            ss_tot = float(np.sum((ln - ln.mean()) ** 2))
-            r2 = 1.0 if ss_tot <= 0.0 else 1.0 - ss_res / ss_tot
+            # spread >= 1e-3 keeps sum(dn^2) positive
+            res = dn - slope * dt
+            r2 = 1.0 - float(res @ res) / float(dn @ dn)
 
     if r2 < R2_MIN:
         verdict = "inconclusive"

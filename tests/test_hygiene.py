@@ -1,8 +1,8 @@
 """Static checks on the package source, with the standard library only:
 no module imports a name it never uses, every name listed in a module's
 ``__all__`` exists, every function reads each of its parameters, ranks are
-cut in ``numkit`` only, and the package imports exactly the dependencies
-``pyproject.toml`` declares."""
+cut and singular matrices gated in ``numkit`` only, and the package imports
+exactly the dependencies ``pyproject.toml`` declares."""
 
 import ast
 import importlib
@@ -202,6 +202,34 @@ def test_rank_is_cut_in_numkit_only():
         for line in rank_cut_lines(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert not found, f"cut ranks with numkit.svd_rank: {found}"
+
+
+def singular_rel_lines(tree: ast.Module) -> list:
+    """Lines that read or import ``SINGULAR_REL``, the singularity gate's
+    threshold."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "SINGULAR_REL":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "SINGULAR_REL":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and any(
+            a.name == "SINGULAR_REL" for a in node.names
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_singular_rel_read_in_numkit_only():
+    # numkit.singular and numkit.gated_inverse are the one singularity gate;
+    # the LU certificate and the SVD gate share its threshold there only
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        if path.name != "numkit.py"
+        for line in singular_rel_lines(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert not found, f"gate singular matrices with numkit.singular or gated_inverse: {found}"
 
 
 def imported_packages(tree: ast.Module) -> set:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conjlim import criteria, goodpath, modifier, numkit
+from conjlim import criteria, goodpath, modifier, numkit, pathsim
 from conjlim.numkit import (
     InvalidInputError,
     NotPSDError,
@@ -131,6 +131,37 @@ class TestSingularGate:
             assert one == bool(numkit.singular(s[None, :])[0])
         assert numkit.singular(np.array([1.0, 0.0, rel]))
         assert not numkit.singular(np.array([1.0, 0.0, np.nextafter(rel, 1.0)]))
+
+
+class TestGatedInverse:
+    def test_exactly_singular_point_fails_the_lu_and_is_gated(self):
+        us = np.stack([np.eye(2), np.diag([1.0, 0.0])]).astype(complex)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(us)
+        inv, gate = numkit.gated_inverse(us)
+        assert inv is None
+        assert gate.tolist() == [False, True]
+
+    def test_lu_failure_with_no_gated_point_is_raised(self, monkeypatch):
+        def failing(a):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", failing)
+        with pytest.raises(np.linalg.LinAlgError):
+            numkit.gated_inverse(np.stack([np.eye(3), 2.0 * np.eye(3)]))
+
+    def test_inverse_failing_its_residual_is_not_trusted(self, monkeypatch):
+        # a small but wrong inverse of diag(1, 1e-15) must not clear it
+        monkeypatch.setattr(np.linalg, "inv", lambda a: np.broadcast_to(np.eye(2), a.shape).copy())
+        _, gate = numkit.gated_inverse(np.diag([1.0, 1e-15])[None].astype(complex))
+        assert gate.tolist() == [True]
+
+    def test_cleared_points_take_no_svd(self, monkeypatch):
+        us = np.stack([np.eye(4), np.diag([1e3, 1.0, 1e-3, 1e-6])]).astype(complex)
+        monkeypatch.setattr(np.linalg, "svd", None)
+        inv, gate = numkit.gated_inverse(us)
+        assert gate.tolist() == [False, False]
+        assert np.allclose(inv @ us, np.eye(4), rtol=0.0, atol=1e-12)
 
 
 class TestTolerance:
@@ -321,19 +352,14 @@ class TestSvdCounts:
         ),
     }
 
-    @pytest.mark.parametrize("name", list(CALLS))
-    def test_svd_count(self, name, monkeypatch):
-        call, limit, exact = self.CALLS[name]
-        rng = np.random.default_rng(22)
-        z = random_singular(self.N, 3, rng)
-        a = ginibre(self.N, rng=rng)
-        c = goodpath.construct_good_path(z).inverse_pole
-        count = 0
+    @staticmethod
+    def count_svds(monkeypatch) -> list:
+        """Patch every ``svd`` entry point to append to the returned list."""
+        calls = []
 
         def counting(svd):
             def wrapped(*args, **kwargs):
-                nonlocal count
-                count += 1
+                calls.append(1)
                 return svd(*args, **kwargs)
 
             return wrapped
@@ -341,10 +367,32 @@ class TestSvdCounts:
         # norm(., 2) calls the private module's svd, not numpy.linalg.svd
         for module in (np.linalg, np.linalg._linalg):
             monkeypatch.setattr(module, "svd", counting(module.svd))
+        return calls
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_svd_count(self, name, monkeypatch):
+        call, limit, exact = self.CALLS[name]
+        rng = np.random.default_rng(22)
+        z = random_singular(self.N, 3, rng)
+        a = ginibre(self.N, rng=rng)
+        c = goodpath.construct_good_path(z).inverse_pole
+        calls = self.count_svds(monkeypatch)
         result = call(a, z, c)
         if name == "is_pole_coefficient":
             assert result  # every Gram check and comparison ran
+        count = len(calls)
         assert count == limit if exact else count <= limit
+
+    def test_simulate_takes_one_svd_on_a_well_conditioned_path(self, monkeypatch):
+        # the LU certificate clears every grid point, so the one SVD is the
+        # batched norm of the conjugates
+        rng = np.random.default_rng(22)
+        z = random_singular(self.N, 3, rng)
+        a = ginibre(self.N, rng=rng)
+        path = pathsim.MatrixPath.from_good_path(goodpath.construct_good_path(z, order=2))
+        calls = self.count_svds(monkeypatch)
+        pathsim.simulate(path, a)
+        assert len(calls) == 1
 
 
 class TestMatrixJson:

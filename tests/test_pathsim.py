@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conjlim import pathsim
+from conjlim import numkit, pathsim
 from conjlim.criteria import keeps_kernel_invariant, kernel_algebra_basis
 from conjlim.goodpath import InvalidPathError, construct_good_path, laurent_inverse
 from conjlim.modifier import Modifier, apply
@@ -175,6 +175,55 @@ class TestSimulate:
         first.t_values[:] = 0.5
         assert np.array_equal(second.t_values, log_grid())
         assert np.array_equal(simulate(path, unit(2, 0, 1)).t_values, log_grid())
+        # a caller's grid is copied: rewriting it leaves the report alone
+        grid = log_grid(1e-2, 1e-5, 13)
+        custom = simulate(path, unit(2, 0, 1), grid=grid)
+        assert custom.t_values is not grid
+        grid[:] = 7.0
+        assert np.array_equal(custom.t_values, log_grid(1e-2, 1e-5, 13))
+
+    @pytest.mark.parametrize(
+        "grid",
+        [[[1e-2, 1e-3]], [], [1e-2, np.nan, 1e-3], [1e-2, np.inf], [1e-2, -1e-3], [1e-2, 0.0]],
+        ids=["2-d", "empty", "nan", "inf", "negative", "zero"],
+    )
+    def test_malformed_grid_is_rejected_before_evaluation(self, grid, monkeypatch):
+        path = MatrixPath.linear(diag(1.0, 0.0), diag(0.0, 1.0))
+
+        def refuse(self, ts):
+            raise AssertionError("path evaluated before the grid was checked")
+
+        monkeypatch.setattr(MatrixPath, "values", refuse)
+        with pytest.raises(InvalidInputError, match="grid"):
+            simulate(path, unit(2, 0, 1), grid=grid)
+
+    @pytest.mark.parametrize("grid", [[1e-2], [1e-2, 1e-2], [1.0, 1e-3, 1e-3, 1e-3]])
+    def test_fit_window_needs_two_distinct_t(self, grid):
+        path = MatrixPath.linear(diag(1.0, 0.0), diag(0.0, 1.0))
+        with pytest.raises(InvalidInputError, match="two distinct t"):
+            simulate(path, unit(2, 0, 1), grid=grid)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_closed_form_fit_matches_polyfit(self, seed):
+        # along diag(1, 1/v) the conjugate of E12 has norm v, so a samples
+        # path puts chosen norms on a grid inside one decade, whose points
+        # all form the fit window
+        rng = np.random.default_rng(seed)
+        count = int(rng.integers(3, 12))
+        ts = np.sort(rng.uniform(1e-3, 9e-3, count))[::-1]
+        steady = [1.0 + 1e-5 * rng.standard_normal(count), rng.uniform(0.5, 2.0) * np.ones(count)]
+        for target in [np.exp(rng.uniform(-5.0, 5.0, count)), ts ** -rng.uniform(0, 2), *steady]:
+            path = MatrixPath.from_samples(zip(ts, (diag(1.0, 1.0 / v) for v in target)))
+            report = simulate(path, unit(2, 0, 1))
+            lt, ln = np.log(report.t_values), np.log(report.norms)
+            fit = np.polyfit(lt, ln, 1)
+            if ln.max() - ln.min() < 1e-3:
+                r2 = 1.0
+            else:
+                ss_res = np.sum((ln - np.polyval(fit, lt)) ** 2)
+                r2 = 1.0 - ss_res / np.sum((ln - ln.mean()) ** 2)
+            assert report.alpha == pytest.approx(-fit[0], abs=1e-12)
+            assert report.r2 == pytest.approx(r2, abs=1e-12)
 
 
 class TestSingularityGate:
@@ -194,13 +243,57 @@ class TestSingularityGate:
             simulate(path, np.eye(2), grid=grid)
             laurent_inverse(z, [e], order=2)
 
+    def test_gate_svd_takes_only_the_points_the_lu_cannot_clear(self, monkeypatch):
+        # ||U^{-1}||_F = 1 / (c t) clears t = 1e-2 and 1e-3 but not 1e-4
+        path = MatrixPath.linear(diag(1.0, 0.0), diag(0.0, 2e-9))
+        grid = [1e-2, 1e-3, 1e-4]
+        stacks = []
+        svd = np.linalg.svd
+
+        def recording(a, *args, **kwargs):
+            stacks.append(np.array(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        simulate(path, np.eye(2), grid=grid)
+        assert [s.shape for s in stacks] == [(1, 2, 2), (3, 2, 2)]
+        assert np.array_equal(stacks[0], path.values([1e-4]))
+
+    @pytest.mark.parametrize("top", [1e-2, 0.5, 7.0, 1e3])
+    def test_gate_matches_the_svd_gate_near_the_threshold(self, top):
+        # one grid point at sigma_min / sigma_max log-spaced over [1e-15,
+        # 1e-9]; the max(1, .) floor binds for top < 1 and not for top > 1
+        rng = np.random.default_rng(int(top * 100))
+        grid = log_grid(1e-1, 1e-3, 5)
+        fired = 0
+        for ratio in np.geomspace(1e-15, 1e-9, 31):
+            n = int(rng.integers(2, 7))
+            sigma = np.geomspace(top, top * ratio, n)
+            mats = [ginibre(n, rng=rng) + 3.0 * np.eye(n) for _ in grid]
+            k = int(rng.integers(len(grid)))
+            mats[k] = random_unitary(n, rng) @ np.diag(sigma) @ random_unitary(n, rng)
+            path = MatrixPath.from_samples(zip(grid, mats))
+            a = ginibre(n, rng=rng)
+            gate = numkit.singular(np.linalg.svd(np.stack(mats), compute_uv=False))
+            if gate.any():
+                fired += 1
+                t = re.escape(str(grid[gate.argmax()]))
+                with pytest.raises(PathSingularError, match=f"t = {t}$"):
+                    simulate(path, a, grid=grid)
+            else:
+                report = simulate(path, a, grid=grid)
+                expected = TestStackedSimulate.reference_norms(mats, a, Modifier.identity(n))
+                assert np.allclose(report.norms, expected, rtol=1e-10, atol=0.0)
+        assert 0 < fired < 31
+
 
 class TestStackedSimulate:
     # the grid stops at t = 1e-3 so that cond(U(t)) stays near 1e3 and the
-    # stacked solve and the reference inverse agree far below the tolerance
+    # stacked inverse and the per-point reference agree far below the tolerance
     GRID = log_grid(1e-1, 1e-3, 9)
 
-    def reference_norms(self, mats, a, phi):
+    @staticmethod
+    def reference_norms(mats, a, phi):
         return np.array(
             [np.linalg.norm(apply(phi, u @ a @ np.linalg.inv(u)), 2) for u in mats]
         )
