@@ -208,9 +208,10 @@ def simulate(
     Raises :class:`PathSingularError` if the path is singular at a grid
     point under :func:`~conjlim.numkit.singular`, naming the first such t in
     grid order, and :class:`~conjlim.numkit.InvalidInputError` for a grid
-    that is not a non-empty 1-d array of finite positive t or whose fit
-    window holds fewer than two distinct t.  Near-constant windows are
-    treated as perfect bounded fits; norms vanishing over the smallest
+    that is not a non-empty 1-d array of finite positive t, whose fit window
+    holds fewer than two distinct t, or at whose points ``U A U^{-1}``
+    overflows, naming the first such t in grid order.  Near-constant windows
+    are treated as perfect bounded fits; norms vanishing over the smallest
     decade report ``alpha = 0``.
     """
     A = as_square(a, "A")
@@ -224,7 +225,12 @@ def simulate(
     inv, gate = gated_inverse(us)
     if gate.any():
         raise PathSingularError(f"path is singular at grid point t = {ts[gate.argmax()]}")
-    norms = np.linalg.svd(apply(phi, (us @ A) @ inv), compute_uv=False)[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        conj = (us @ A) @ inv
+    if not np.isfinite(conj).all():
+        first = ts[~np.isfinite(conj).all(axis=(-2, -1))][0]
+        raise InvalidInputError(f"U(t) A U(t)^-1 overflows at grid point t = {first}")
+    norms = np.linalg.svd(apply(phi, conj), compute_uv=False)[:, 0]
 
     # fit on the smallest decade, widened to the three smallest points when
     # the decade holds fewer
@@ -278,9 +284,11 @@ class SearchOutcome:
     """Best invertible perturbation found by :func:`divergence_search`.
 
     ``evaluations`` counts objective values computed, ``rejected`` the
-    candidates refused by the ball test or the singularity gate (the inverse
-    comes from the gate's SVD, so no solve can refuse one), and ``restarts``
-    the random starts drawn.
+    candidates refused by the ball test or the singularity gate (the
+    conjugate is read off an SVD, so no solve can refuse one), and
+    ``restarts`` the random starts drawn.  An evaluation takes two
+    singular-values-only SVDs for a shrink move and three, one of them
+    full, for a kick or a start.
     """
 
     matrix: np.ndarray | None
@@ -310,11 +318,16 @@ def divergence_search(
     ``x y^H``, tried in that order until one improves; a kick is drawn only
     once the moves before it have failed.  Every move is clamped to
     ``0.9 (radius - ||U - Z||)``, so by the triangle inequality each
-    candidate lies inside the ball; the exact ball test still checks it.  The
-    full SVD ``U = W diag(s) V^H`` a candidate takes for the singularity
-    gate also gives its inverse ``V diag(1/s) W^H``, and an accepted
-    candidate hands it and its distance to Z on to the next step, whose
-    moves it sizes.  An evaluation thus takes three SVDs and no solve.
+    candidate lies inside the ball; the exact ball test still checks it.
+
+    A candidate is scored from its SVD ``U = W diag(s) V^H``: with
+    ``B = V^H A V``, ``U A U^{-1} = W (S B S^{-1}) W^H``, whose norm for the
+    identity modifier is that of ``S B S^{-1}``.  A shrink move
+    ``U - c w_n v_n^H`` keeps U's singular vectors, so its SVD is U's with
+    ``s_n`` lowered by c and its B is U's; it takes two singular-values-only
+    SVDs, one for the ball test and one for the objective.  A kick or a
+    start takes three, one of them full, and its B is computed once for the
+    chain of shrink moves that follows.  No evaluation takes a solve.
 
     The budget counts objective evaluations.  Every ascent step scores at
     most three candidates and computes at least one objective value unless
@@ -326,7 +339,11 @@ def divergence_search(
     For a singular Z and non-scalar A the supremum is infinite and the
     search certifies this empirically by exceeding any threshold; scalar A
     short-circuits, since conjugation fixes it and the objective is the
-    constant ``||phi(A)||``.
+    constant ``||phi(A)||``.  A counts as scalar when
+    ``||A - mu I|| <= 1e-13 max(1, |mu|, ||A||)`` for ``mu = tr(A) / n``;
+    since ``||M||_F / sqrt(n) <= ||M|| <= ||M||_F``, a Frobenius deviation
+    above ``2 sqrt(n)`` times that bound, read with ``||A||_F``, rules it out
+    without an SVD.
     """
     A, Z = _pair(a, z)
     if radius <= 0:
@@ -341,7 +358,10 @@ def divergence_search(
     rng = np.random.default_rng(seed)
 
     mu = np.trace(A) / n
-    if operator_norm(A - mu * np.eye(n)) <= 1e-13 * max(1.0, abs(mu), operator_norm(A)):
+    dev = A - mu * np.eye(n)
+    # Frobenius norms settle all but a factor-2 sqrt(n) band (see above)
+    near = np.linalg.norm(dev) <= 2e-13 * np.sqrt(n) * max(1.0, abs(mu), np.linalg.norm(A))
+    if near and operator_norm(dev) <= 1e-13 * max(1.0, abs(mu), operator_norm(A)):
         # conjugation fixes scalars: objective is constant
         start = Z + (radius / 2.0) * np.eye(n)
         return SearchOutcome(start, operator_norm(apply(phi, A)), 0, 0, 0)
@@ -350,27 +370,35 @@ def divergence_search(
     best_val = -np.inf
     best_mat: np.ndarray | None = None
 
-    def value(u: np.ndarray):
-        """``(objective, ||u - Z||, svd(u))``, or None for a refused u."""
+    def value(u: np.ndarray, svd=None, b=None):
+        """``(objective, ||u - Z||, svd, b)``, or None for a refused u.
+
+        ``svd = (w, s, vh)`` factors u and ``b = vh A vh^H``; each is
+        computed here when not given."""
         nonlocal evals, rejected, best_val, best_mat
         d = operator_norm(u - Z)
         if d >= radius:
             rejected += 1
             return None
-        svd = w, s, vh = np.linalg.svd(u)
+        w, s, vh = svd = np.linalg.svd(u) if svd is None else svd
         if singular(s):
             rejected += 1
             return None
         evals += 1
-        # U A U^{-1} with U^{-1} = V diag(1/s) W^H; the gate ensures s > 0
-        val = operator_norm(apply(phi, ((u @ A) @ vh.conj().T / s) @ w.conj().T))
+        if b is None:
+            b = (vh @ A) @ vh.conj().T
+        # S B S^{-1}; the gate ensures s > 0
+        sbs = s[:, None] * b / s
+        if phi.kind != "identity":
+            sbs = apply(phi, (w @ sbs) @ w.conj().T)
+        val = operator_norm(sbs)
         if val > best_val:
             best_val, best_mat = val, u.copy()
-        return val, d, svd
+        return val, d, svd, b
 
-    def random_start() -> np.ndarray:
+    def random_start():
         # the first of 8 draws with sigma_min >= 0.05 delta, else the one
-        # with the largest sigma_min / delta
+        # with the largest sigma_min / delta, with its SVD
         nonlocal restarts
         restarts += 1
         best, best_ratio = None, -np.inf
@@ -379,39 +407,45 @@ def divergence_search(
             g /= operator_norm(g)
             delta = radius * rng.uniform(0.2, 0.6)
             u = Z + delta * g
-            ratio = np.linalg.svd(u, compute_uv=False)[-1] / delta
+            svd = np.linalg.svd(u)
+            ratio = svd[1][-1] / delta
             if ratio >= 0.05:
-                return u
+                return u, svd
             if ratio > best_ratio:
-                best, best_ratio = u, ratio
+                best, best_ratio = (u, svd), ratio
         return best
 
     def done() -> bool:
         return evals >= budget or (stop_at is not None and best_val >= stop_at)
 
     while not done() and restarts < budget:
-        u = random_start()
-        scored = value(u)
+        u, svd = random_start()
+        scored = value(u, svd)
         if scored is None:
             continue
-        cur, d, (uu, ss, vv) = scored
+        cur, d, (uu, ss, vv), b = scored
         stall = 0
         while not done() and stall < 25:
             slack = 0.9 * (radius - d)
             improved = False
             for move in range(3):
                 if move == 0:
-                    cand = u - min(0.75 * float(ss[-1]), slack) * np.outer(uu[:, -1], vv[-1])
+                    # u's SVD with s_n lowered by c, and u's B
+                    c = min(0.75 * float(ss[-1]), slack)
+                    cand = u - c * np.outer(uu[:, -1], vv[-1])
+                    shrunk = ss.copy()
+                    shrunk[-1] -= c
+                    scored = value(cand, (uu, shrunk, vv), b)
                 else:
                     xy = ginibre(n, 2, rng)
                     xy /= np.linalg.norm(xy, axis=0)
                     eps = float(ss[-1]) * rng.uniform(0.3, 1.5) + 1e-3 * radius * rng.uniform()
                     cand = u + min(eps, slack) * np.outer(xy[:, 0], xy[:, 1].conj())
-                scored = value(cand)
+                    scored = value(cand)
                 if done():
                     break
                 if scored is not None and scored[0] > cur * (1.0 + 1e-6):
-                    u, (cur, d, (uu, ss, vv)) = cand, scored
+                    u, (cur, d, (uu, ss, vv), b) = cand, scored
                     improved = True
                     break
             stall = 0 if improved else stall + 1

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -125,6 +126,82 @@ def random_member(z, rng):
     return sum(c * b for c, b in zip(coeff, basis))
 
 
+def fresh_svd_search(a, z, phi, radius, budget, seed, stop_at=None):
+    """Reference for :func:`divergence_search`: the same moves and random
+    stream, with a fresh full SVD of every candidate in the ball and the
+    operator-norm scalar test.  Returns ``(evaluations, rejected, restarts,
+    draws, kicks)``: the start draws taken and the kicks inside the ball."""
+    n = z.shape[0]
+    rng = np.random.default_rng(seed)
+    mu = np.trace(a) / n
+    if operator_norm(a - mu * np.eye(n)) <= 1e-13 * max(1.0, abs(mu), operator_norm(a)):
+        return 0, 0, 0, 0, 0
+    count = dict(evals=0, rejected=0, restarts=0, draws=0, kicks=0)
+    best = [-np.inf]
+
+    def value(u, kick):
+        d = operator_norm(u - z)
+        if d >= radius:
+            count["rejected"] += 1
+            return None
+        count["kicks"] += kick
+        w, s, vh = np.linalg.svd(u)
+        if numkit.singular(s):
+            count["rejected"] += 1
+            return None
+        count["evals"] += 1
+        val = operator_norm(apply(phi, ((u @ a) @ vh.conj().T / s) @ w.conj().T))
+        best[0] = max(best[0], val)
+        return val, d, (w, s, vh)
+
+    def random_start():
+        count["restarts"] += 1
+        pick, pick_ratio = None, -np.inf
+        for _ in range(8):
+            count["draws"] += 1
+            g = ginibre(n, rng=rng)
+            g /= operator_norm(g)
+            delta = radius * rng.uniform(0.2, 0.6)
+            u = z + delta * g
+            ratio = np.linalg.svd(u, compute_uv=False)[-1] / delta
+            if ratio >= 0.05:
+                return u
+            if ratio > pick_ratio:
+                pick, pick_ratio = u, ratio
+        return pick
+
+    def done():
+        return count["evals"] >= budget or (stop_at is not None and best[0] >= stop_at)
+
+    while not done() and count["restarts"] < budget:
+        u = random_start()
+        scored = value(u, False)
+        if scored is None:
+            continue
+        cur, d, (w, s, vh) = scored
+        stall = 0
+        while not done() and stall < 25:
+            slack = 0.9 * (radius - d)
+            improved = False
+            for move in range(3):
+                if move == 0:
+                    cand = u - min(0.75 * float(s[-1]), slack) * np.outer(w[:, -1], vh[-1])
+                else:
+                    xy = ginibre(n, 2, rng)
+                    xy /= np.linalg.norm(xy, axis=0)
+                    eps = float(s[-1]) * rng.uniform(0.3, 1.5) + 1e-3 * radius * rng.uniform()
+                    cand = u + min(eps, slack) * np.outer(xy[:, 0], xy[:, 1].conj())
+                scored = value(cand, move > 0)
+                if done():
+                    break
+                if scored is not None and scored[0] > cur * (1.0 + 1e-6):
+                    u, (cur, d, (w, s, vh)) = cand, scored
+                    improved = True
+                    break
+            stall = 0 if improved else stall + 1
+    return tuple(count[k] for k in ("evals", "rejected", "restarts", "draws", "kicks"))
+
+
 class TestSimulate:
     # along diag(1, t): conjugating E12 gives [[0, 1/t], [0, 0]] and
     # conjugating E21 gives [[0, 0], [t, 0]]
@@ -202,6 +279,19 @@ class TestSimulate:
         path = MatrixPath.linear(diag(1.0, 0.0), diag(0.0, 1.0))
         with pytest.raises(InvalidInputError, match="two distinct t"):
             simulate(path, unit(2, 0, 1), grid=grid)
+
+    def test_overflowing_conjugate_names_its_t(self):
+        # the conjugate of the finite 1e305 E12 is 1e305 / t E12, which
+        # overflows once t < 1e305 / max_float
+        path = MatrixPath.linear(diag(1.0, 0.0), diag(0.0, 1.0))
+        ts = log_grid()
+        first = ts[ts < 1e305 / np.finfo(float).max][0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match=f"overflows at grid point t = {first}$"):
+                simulate(path, 1e305 * unit(2, 0, 1))
+            # one power of ten lower stays finite on the whole grid
+            assert simulate(path, 1e300 * unit(2, 0, 1)).norm_max == pytest.approx(1e306)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_closed_form_fit_matches_polyfit(self, seed):
@@ -760,6 +850,106 @@ class TestDivergenceSearch:
         assert out.evaluations == 500
         assert calls["solve"] == 0
         assert calls["svd"] <= 3 * out.evaluations + 2 * 8 * out.restarts + 2
+
+    @staticmethod
+    def count_full_svds(monkeypatch):
+        """Patch every ``svd`` entry point; returns the list of full-SVD
+        calls and the list of every input matrix."""
+        full, inputs = [], []
+
+        def counting(svd):
+            def wrapped(m, *args, **kwargs):
+                inputs.append(np.array(m))
+                if kwargs.get("compute_uv", True):
+                    full.append(1)
+                return svd(m, *args, **kwargs)
+
+            return wrapped
+
+        for module in (np.linalg, np.linalg._linalg):
+            monkeypatch.setattr(module, "svd", counting(module.svd))
+        return full, inputs
+
+    def test_only_starts_and_kicks_take_a_full_svd(self, monkeypatch):
+        # a shrink move keeps its parent's singular vectors, so its SVD is
+        # the parent's with s_n lowered; a fresh SVD per candidate took one
+        # full SVD per evaluation (500 and 5 here)
+        rng = np.random.default_rng(16)
+        z16 = random_singular(16, 2, rng)
+        a16 = ginibre(16, rng=rng)
+        a3 = ginibre(3, rng=np.random.default_rng(12))
+        cases = [(a3, np.eye(3), 0.025, 500, None), (a16, z16, 0.1, 10_000, 1e6)]
+        for a, z, radius, budget, stop_at in cases:
+            evals, _, _, draws, kicks = fresh_svd_search(
+                a, z, Modifier.identity(z.shape[0]), radius, budget, 0, stop_at
+            )
+            full, inputs = self.count_full_svds(monkeypatch)
+            out = divergence_search(a, z, radius=radius, budget=budget, seed=0, stop_at=stop_at)
+            assert out.evaluations == evals
+            # every start draw and every kick in the ball, nothing else
+            assert len(full) == draws + kicks < evals
+            # the Frobenius certificate rules A scalar out without an SVD
+            dev = a - np.trace(a) / a.shape[0] * np.eye(a.shape[0])
+            assert not any(np.array_equal(m, dev) or np.array_equal(m, a) for m in inputs)
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize(
+        "n, singular_z, kind, seed",
+        [
+            (3, True, "identity", 0),
+            (3, False, "delete_diagonal", 1),
+            (4, True, "general", 2),
+            (4, False, "identity", 3),
+            (6, True, "delete_diagonal", 4),
+            (6, False, "general", 5),
+            (10, True, "identity", 6),
+            (10, False, "delete_diagonal", 7),
+            (16, True, "general", 8),
+            (16, False, "identity", 9),
+        ],
+    )
+    def test_matches_a_fresh_svd_per_candidate(self, n, singular_z, kind, seed):
+        rng = np.random.default_rng(100 + seed)
+        if singular_z:
+            z = random_singular(n, int(rng.integers(1, n)), rng)
+        else:
+            z = random_unitary(n, rng) @ np.diag(rng.uniform(0.5, 2.0, n))
+        a = ginibre(n, rng=rng)
+        phi = {
+            "identity": Modifier.identity(n),
+            "delete_diagonal": Modifier.delete_diagonal(n),
+            "general": Modifier.general(ginibre(n * n, rng=rng) / n),
+        }[kind]
+        radius, budget = (0.1, 2_000) if singular_z else (0.03, 300)
+        stop_at = 1e6 if singular_z else None
+        out = divergence_search(a, z, phi, radius, budget, seed=seed, stop_at=stop_at)
+        ref = fresh_svd_search(a, z, phi, radius, budget, seed, stop_at)
+        assert (out.evaluations, out.rejected, out.restarts) == ref[:3]
+        u = out.matrix
+        assert operator_norm(u - z) < radius
+        exact = operator_norm(apply(phi, u @ a @ np.linalg.inv(u)))
+        cond = np.linalg.cond(u)
+        assert abs(out.norm - exact) <= 100 * cond * np.finfo(float).eps * exact
+
+    @pytest.mark.parametrize("mu", [1e-3, 1.0, 1e6])
+    def test_scalar_certificate_agrees_with_the_svd_rule(self, mu):
+        # A = mu I + delta E around the operator-norm threshold 1e-13 *
+        # max(1, |mu|, ||A||): for the rank-one E the Frobenius norm is the
+        # operator norm, so the SVD rule alone decides a factor-2 sqrt(n)
+        # band; for the full-rank one the Frobenius norm is sqrt(n) times it
+        n = 4
+        z = random_singular(n, 2, np.random.default_rng(30))
+        seen = set()
+        for e in (unit(n, 0, 1), diag(1.0, -1.0, 1.0, -1.0)):
+            for rel in np.geomspace(1e-15, 1e-11, 41):
+                a = mu * np.eye(n) + rel * mu * e
+                m = np.trace(a) / n
+                dev = operator_norm(a - m * np.eye(n))
+                scalar = dev <= 1e-13 * max(1.0, abs(m), operator_norm(a))
+                out = divergence_search(a, z, budget=1, seed=0)
+                assert (out.evaluations == 0) == scalar, (e, rel)
+                seen.add(scalar)
+        assert seen == ({True} if mu < 1.0 else {True, False})
 
     def test_modifier_objective(self):
         out = divergence_search(
