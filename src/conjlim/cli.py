@@ -25,8 +25,10 @@ from .numkit import (
     ConjlimError,
     InvalidInputError,
     load_matrix,
+    matrices_from_json,
     matrix_from_json,
     matrix_to_json,
+    read_field,
 )
 
 __all__ = ["main", "convert"]
@@ -162,19 +164,20 @@ def _load_path(spec: str) -> pathsim.MatrixPath:
     kind, path = spec.split(":", 1)
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    if kind == "linear":
-        coeffs = [matrix_from_json(e) for e in obj["coeffs"]]
-        if len(coeffs) != 1:
+    if kind in ("linear", "poly"):
+        base = read_field(obj, "base", matrix_from_json, f"{kind} path JSON")
+        coeffs = read_field(obj, "coeffs", matrices_from_json, f"{kind} path JSON")
+        if kind == "linear" and len(coeffs) != 1:
             raise InvalidInputError("linear path spec must carry exactly one coefficient")
-        return pathsim.MatrixPath.linear(matrix_from_json(obj["base"]), coeffs[0])
-    if kind == "poly":
-        return pathsim.MatrixPath.polynomial(
-            matrix_from_json(obj["base"]), [matrix_from_json(e) for e in obj["coeffs"]]
-        )
+        return pathsim.MatrixPath.polynomial(base, coeffs)
     if kind == "goodpath":
         return pathsim.MatrixPath.from_good_path(goodpath.GoodPath.from_json(obj))
     if kind == "samples":
-        pairs = [(s["t"], matrix_from_json(s["matrix"])) for s in obj["samples"]]
+        what = "sample JSON"
+        pairs = [
+            (read_field(s, "t", float, what), read_field(s, "matrix", matrix_from_json, what))
+            for s in read_field(obj, "samples", list, "samples path JSON")
+        ]
         return pathsim.MatrixPath.from_samples(pairs)
     raise InvalidInputError(f"unknown path kind {kind!r}")
 
@@ -183,9 +186,10 @@ def _parse_grid(spec: str) -> np.ndarray:
     parts = spec.split(":")
     if len(parts) != 3:
         raise InvalidInputError("grid spec must look like tmin:tmax:count")
-    t1, t2, count = float(parts[0]), float(parts[1]), int(parts[2])
-    lo, hi = min(t1, t2), max(t1, t2)
-    return pathsim.log_grid(t_max=hi, t_min=lo, count=count)
+    fields = dict(zip(("tmin", "tmax", "count"), parts))
+    t1, t2 = (read_field(fields, key, float, "grid spec") for key in ("tmin", "tmax"))
+    count = read_field(fields, "count", int, "grid spec")
+    return pathsim.log_grid(t_max=max(t1, t2), t_min=min(t1, t2), count=count)
 
 
 def _cmd_simulate(args) -> int:

@@ -24,7 +24,6 @@ from .numkit import (
     DEFAULT_TOL,
     ConjlimError,
     InvalidInputError,
-    Tolerance,
     as_square,
     as_square_like,
     kernel_basis,
@@ -96,7 +95,7 @@ def _invariance_verdict(defect: np.ndarray, columns: np.ndarray, threshold: floa
     return MembershipVerdict(False, residual, columns[:, j].copy(), threshold)
 
 
-def keeps_kernel_invariant(a, z, tol: Tolerance = DEFAULT_TOL) -> MembershipVerdict:
+def keeps_kernel_invariant(a, z) -> MembershipVerdict:
     """Does ``A`` map ``ker(Z)`` into ``ker(Z)``?
 
     Decided by the residual ``||Z A K||`` over an orthonormal kernel basis K,
@@ -105,15 +104,15 @@ def keeps_kernel_invariant(a, z, tol: Tolerance = DEFAULT_TOL) -> MembershipVerd
     The witness on failure is the first kernel basis vector x with ``ZAx != 0``.
     """
     A, Z = _pair(a, z)
-    _, s, vh, r = svd_rank(Z, tol)
-    threshold = tol.residual_scale(float(s[0]) * operator_norm(A))
+    _, s, vh, r = svd_rank(Z)
+    threshold = DEFAULT_TOL.residual_scale(float(s[0]) * operator_norm(A))
     if r == Z.shape[0]:
         return MembershipVerdict(True, 0.0, None, threshold)
     ker = vh[r:].conj().T
     return _invariance_verdict(Z @ A @ ker, ker, threshold)
 
 
-def keeps_image_invariant(a, z, tol: Tolerance = DEFAULT_TOL) -> MembershipVerdict:
+def keeps_image_invariant(a, z) -> MembershipVerdict:
     """Does ``A`` map ``im(Z)`` into ``im(Z)``?
 
     Decided by ``||L^H A B|| = ||(I - P) A B||``, with ``B = u[:, :r]`` and
@@ -122,29 +121,25 @@ def keeps_image_invariant(a, z, tol: Tolerance = DEFAULT_TOL) -> MembershipVerdi
     so its threshold is ``residual_abs * max(1, ||A||)``.
     """
     A, Z = _pair(a, z)
-    u, _, _, r = svd_rank(Z, tol)
-    threshold = tol.residual_scale(operator_norm(A))
+    u, _, _, r = svd_rank(Z)
+    threshold = DEFAULT_TOL.residual_scale(operator_norm(A))
     n = Z.shape[0]
     if r in (0, n):
         return MembershipVerdict(True, 0.0, None, threshold)
     return _invariance_verdict(u[:, r:].conj().T @ A @ u[:, :r], u[:, :r], threshold)
 
 
-def _check_pole_pair(Z: np.ndarray, C: np.ndarray, tol: Tolerance) -> None:
-    scale = tol.residual_scale(operator_norm(Z) * operator_norm(C))
+def _pole_term(a, z, c, dual: bool) -> MembershipVerdict:
+    A, Z = _pair(a, z)
+    C = as_square_like(Z, c, "C")
+    scale = DEFAULT_TOL.residual_scale(operator_norm(Z) * operator_norm(C))
     zc = operator_norm(Z @ C)
     cz = operator_norm(C @ Z)
     if zc > scale or cz > scale:
         raise PoleConditionError(
             f"companion matrix must satisfy ZC = CZ = 0; got ||ZC||={zc:.3e}, ||CZ||={cz:.3e}"
         )
-
-
-def _pole_term(a, z, c, tol: Tolerance, dual: bool) -> MembershipVerdict:
-    A, Z = _pair(a, z)
-    C = as_square_like(Z, c, "C")
-    _check_pole_pair(Z, C, tol)
-    threshold = tol.residual_scale(operator_norm(Z) * operator_norm(A) * operator_norm(C))
+    threshold = DEFAULT_TOL.residual_scale(operator_norm(Z) * operator_norm(A) * operator_norm(C))
     product = C @ A @ Z if dual else Z @ A @ C
     residual = operator_norm(product)
     if residual <= threshold:
@@ -152,18 +147,18 @@ def _pole_term(a, z, c, tol: Tolerance, dual: bool) -> MembershipVerdict:
     return MembershipVerdict(False, residual, product, threshold)
 
 
-def pole_term_vanishes(a, z, c, tol: Tolerance = DEFAULT_TOL) -> MembershipVerdict:
+def pole_term_vanishes(a, z, c) -> MembershipVerdict:
     """Does the conjugation pole term ``Z A C`` vanish?
 
     Requires ``ZC = CZ = 0`` (raises :class:`PoleConditionError` otherwise).
     On failure the witness is the nonzero product ``ZAC``.
     """
-    return _pole_term(a, z, c, tol, dual=False)
+    return _pole_term(a, z, c, dual=False)
 
 
-def pole_term_vanishes_dual(a, z, c, tol: Tolerance = DEFAULT_TOL) -> MembershipVerdict:
+def pole_term_vanishes_dual(a, z, c) -> MembershipVerdict:
     """Dual form: does ``C A Z`` vanish?  Same precondition as the primal."""
-    return _pole_term(a, z, c, tol, dual=True)
+    return _pole_term(a, z, c, dual=True)
 
 
 def kernel_algebra_dim(n: int, m: int) -> int:
@@ -184,7 +179,7 @@ def _elementary(n: int, i: int, j: int) -> np.ndarray:
     return e
 
 
-def kernel_algebra_basis(z, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
+def kernel_algebra_basis(z) -> list[np.ndarray]:
     """Explicit basis of ``{A : A ker(Z) <= ker(Z)}``.
 
     Built constructively: pick a unitary Q whose last ``k = dim ker(Z)``
@@ -195,7 +190,7 @@ def kernel_algebra_basis(z, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
     """
     Z = as_square(z, "Z")
     n = Z.shape[0]
-    ker = kernel_basis(Z, tol)
+    ker = kernel_basis(Z)
     k = ker.dim
     m = n - k
     if k == 0:
@@ -224,7 +219,7 @@ def conjugate_family(mats, p) -> list[np.ndarray]:
     return out
 
 
-def divergence_certified(a, z, tol: Tolerance = DEFAULT_TOL) -> bool:
+def divergence_certified(a, z) -> bool:
     """True iff ``A ker(Z) !<= ker(Z)``, which certifies that
     ``||U A U^{-1}||`` diverges along every path of invertibles ``U -> Z``."""
-    return not keeps_kernel_invariant(a, z, tol).member
+    return not keeps_kernel_invariant(a, z).member

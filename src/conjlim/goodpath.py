@@ -11,7 +11,7 @@ linear path whose inverse is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,10 +20,11 @@ from .numkit import (
     ConjlimError,
     InvalidInputError,
     Subspace,
-    Tolerance,
     as_square,
     as_square_like,
+    read_field,
     kernel_basis,
+    matrices_from_json,
     matrix_from_json,
     matrix_to_json,
     operator_norm,
@@ -95,7 +96,6 @@ class GoodPath:
     inverse_pole: np.ndarray
     inverse_series: tuple[np.ndarray, ...]
     order: int
-    tol: Tolerance = field(default=DEFAULT_TOL, compare=False)
 
     def __post_init__(self):
         base = as_square(self.base, "base")
@@ -117,7 +117,7 @@ class GoodPath:
 
     @property
     def has_pole(self) -> bool:
-        return operator_norm(self.inverse_pole) > self.tol.residual_scale(
+        return operator_norm(self.inverse_pole) > DEFAULT_TOL.residual_scale(
             operator_norm(self.base)
         )
 
@@ -179,7 +179,8 @@ class GoodPath:
     def validate(self) -> None:
         """Raise :class:`NotAGoodPathError` unless every coefficient residual
         is below :data:`VALIDATE_RESIDUAL_REL` scaled by the coefficient
-        norms and the pole annihilates the base within the stored tolerance.
+        norms and the pole annihilates the base within
+        ``DEFAULT_TOL.residual_scale(||base|| * coefficient_scale())``.
 
         The residuals cannot see an error in the last series coefficient
         ``C_N`` along directions X with ``ZX = XZ = 0``: ``C_N`` enters only
@@ -193,7 +194,7 @@ class GoodPath:
                 f"{VALIDATE_RESIDUAL_REL:.1e} * {scale:.3e}"
             )
         ann = self.annihilation_residual()
-        if ann > self.tol.residual_scale(operator_norm(self.base) * scale):
+        if ann > DEFAULT_TOL.residual_scale(operator_norm(self.base) * scale):
             raise NotAGoodPathError(f"pole does not annihilate the base: {ann:.3e}")
 
     def to_json(self) -> dict:
@@ -207,14 +208,16 @@ class GoodPath:
         }
 
     @staticmethod
-    def from_json(obj: dict, tol: Tolerance = DEFAULT_TOL) -> "GoodPath":
+    def from_json(obj: dict) -> "GoodPath":
+        """Inverse of :meth:`to_json`; a missing or malformed field raises
+        :class:`InvalidInputError` naming it."""
+        what = "good path JSON"
         return GoodPath(
-            base=matrix_from_json(obj["base"]),
-            path_coeffs=tuple(matrix_from_json(e) for e in obj["path_coeffs"]),
-            inverse_pole=matrix_from_json(obj["inverse_pole"]),
-            inverse_series=tuple(matrix_from_json(c) for c in obj["inverse_series"]),
-            order=int(obj["order"]),
-            tol=tol,
+            base=read_field(obj, "base", matrix_from_json, what),
+            path_coeffs=read_field(obj, "path_coeffs", matrices_from_json, what),
+            inverse_pole=read_field(obj, "inverse_pole", matrix_from_json, what),
+            inverse_series=read_field(obj, "inverse_series", matrices_from_json, what),
+            order=read_field(obj, "order", int, what),
         )
 
 
@@ -234,7 +237,7 @@ def polar_factors(z) -> PolarFactors:
     return PolarFactors(unitary=unitary, root=root)
 
 
-def construct_good_path(z, tol: Tolerance = DEFAULT_TOL, order: int = 8) -> GoodPath:
+def construct_good_path(z, order: int = 8) -> GoodPath:
     """Linear path ``Z + tE`` with exact simple-pole inverse, for any square Z.
 
     With ``Z = U R`` the polar factorization and R diagonalized as
@@ -248,7 +251,7 @@ def construct_good_path(z, tol: Tolerance = DEFAULT_TOL, order: int = 8) -> Good
     n = Z.shape[0]
     if order < 0:
         raise InvalidInputError(f"order must be nonnegative, got {order}")
-    u, s, vh, rank = svd_rank(Z, tol)
+    u, s, vh, rank = svd_rank(Z)
     unitary = u @ vh
     v = vh.conj().T
     v_ker = v[:, rank:]
@@ -265,7 +268,6 @@ def construct_good_path(z, tol: Tolerance = DEFAULT_TOL, order: int = 8) -> Good
         inverse_pole=pole,
         inverse_series=series,
         order=order,
-        tol=tol,
     )
 
 
@@ -317,16 +319,16 @@ def laurent_inverse(z, coeffs, order: int = 8):
     return mats[0], list(mats[1 : order + 2])
 
 
-def is_pole_coefficient(c, z, tol: Tolerance = DEFAULT_TOL) -> bool:
+def is_pole_coefficient(c, z) -> bool:
     """True iff ``im(C) = ker(Z)`` and ``im(Z) = ker(C)`` — exactly the
     matrices arising as the pole of some simple-pole path to Z."""
     C = as_square(c, "C")
     Z = as_square_like(C, z, "Z")
-    uc, _, vhc, rc = svd_rank(C, tol)
-    uz, _, vhz, rz = svd_rank(Z, tol)
-    if not subspace_equal(Subspace(uc[:, :rc], tol), Subspace(vhz[rz:].conj().T, tol), tol):
+    uc, _, vhc, rc = svd_rank(C)
+    uz, _, vhz, rz = svd_rank(Z)
+    if not subspace_equal(Subspace(uc[:, :rc]), Subspace(vhz[rz:].conj().T)):
         return False
-    return subspace_equal(Subspace(uz[:, :rz], tol), Subspace(vhc[rc:].conj().T, tol), tol)
+    return subspace_equal(Subspace(uz[:, :rz]), Subspace(vhc[rc:].conj().T))
 
 
 def dual_path(gp: GoodPath) -> GoodPath:
@@ -346,11 +348,10 @@ def dual_path(gp: GoodPath) -> GoodPath:
         inverse_pole=gp.base,
         inverse_series=tuple(new_series),
         order=gp.order,
-        tol=gp.tol,
     )
 
 
-def rigidity_index(e0, coeffs, tol: Tolerance = DEFAULT_TOL) -> int:
+def rigidity_index(e0, coeffs) -> int:
     """Least n >= 1 with ``ker(E_0) <= ker(E_m)`` for all m < n and
     ``ker(E_0) ^ ker(E_n) = 0``.
 
@@ -361,15 +362,15 @@ def rigidity_index(e0, coeffs, tol: Tolerance = DEFAULT_TOL) -> int:
     come from a simple-pole path.  An invertible ``E_0`` returns 1 vacuously.
     """
     E0 = as_square(e0, "E0")
-    k0 = kernel_basis(E0, tol)
+    k0 = kernel_basis(E0)
     if k0.dim == 0:
         return 1
     es = [as_square_like(E0, e, "coefficient") for e in coeffs]
     for idx, e in enumerate(es, start=1):
-        kn = kernel_basis(e, tol)
-        if subspace_intersection(k0, kn, tol).dim == 0:
+        kn = kernel_basis(e)
+        if subspace_intersection(k0, kn).dim == 0:
             return idx
-        contained = operator_norm(e @ k0.basis) <= tol.residual_scale(operator_norm(e))
+        contained = operator_norm(e @ k0.basis) <= DEFAULT_TOL.residual_scale(operator_norm(e))
         if not contained:
             raise RigidityViolationError(
                 f"ker(E_0) meets ker(E_{idx}) without being contained in it"

@@ -37,7 +37,6 @@ from .numkit import (
     DEFAULT_TOL,
     ConjlimError,
     InvalidInputError,
-    Tolerance,
     as_square,
     as_square_like,
     _readonly,
@@ -69,8 +68,8 @@ __all__ = [
 #: smallest singular value must exceed this times the largest.
 INVERTIBILITY_REL = 1e-8
 
-#: Default number of random draws before declaring the solution space free
-#: of invertible elements.
+#: Number of random draws before declaring the solution space free of
+#: invertible elements.
 DEFAULT_DRAWS = 16
 
 #: ``sup ||J * B_k||`` from which :func:`conjugation_family_bound` is vacuous.
@@ -178,26 +177,22 @@ def apply(phi: Modifier, a) -> np.ndarray:
     return (vecs @ phi.data.T).reshape(lead + (n, n)).swapaxes(-1, -2)
 
 
-def _membership_existential(
-    a, z, phi: Modifier, tol: Tolerance, seed, draws: int, dual: bool
-) -> MembershipVerdict:
+def _membership_existential(a, z, phi: Modifier, seed, dual: bool) -> MembershipVerdict:
     A, Z = _pair(a, z)
     n = Z.shape[0]
     if phi.dim != n:
         raise InvalidInputError("modifier dimension does not match the matrices")
-    if draws < 1:
-        raise InvalidInputError(f"draws must be at least 1, got {draws}")
     # every C with im(C) = ker(Z), ker(C) = im(Z) is K X L^H with X
     # invertible, for orthonormal bases K of ker(Z) and L of ker(Z^H); one
     # SVD and one rank decision give both, so dim K = dim L
-    u, s, vh, r = svd_rank(Z, tol)
+    u, s, vh, r = svd_rank(Z)
     kb = vh[r:].conj().T
     lb = u[:, r:]
     k = kb.shape[1]
     faithful = phi.kind != "general" and nilpotent_faithful(phi).faithful
     # the threshold of criteria.keeps_kernel_invariant; the randomized route
     # measures phi-images, whose size carries the size of phi
-    threshold = tol.residual_scale(float(s[0]) * operator_norm(A))
+    threshold = DEFAULT_TOL.residual_scale(float(s[0]) * operator_norm(A))
     if not faithful:
         threshold *= phi.norm_scale()
     if k == 0:
@@ -229,7 +224,7 @@ def _membership_existential(
     rng = np.random.default_rng(seed)
     best_margin = -1.0
     best_x = None
-    for _ in range(draws):
+    for _ in range(DEFAULT_DRAWS):
         coeff = ginibre(d, 1, rng).reshape(-1)
         x = (null_vecs @ coeff).reshape((k, k), order="F")
         sv = np.linalg.svd(x, compute_uv=False)
@@ -248,14 +243,12 @@ def _membership_existential(
     return MembershipVerdict(False, best_margin, witness, threshold)
 
 
-def some_path_bounded(
-    a, z, phi: Modifier, tol: Tolerance = DEFAULT_TOL, *, seed, draws: int = DEFAULT_DRAWS
-) -> MembershipVerdict:
+def some_path_bounded(a, z, phi: Modifier, *, seed) -> MembershipVerdict:
     """Does some path of invertibles ``U -> Z`` keep ``phi(U A U^{-1})``
     bounded?
 
     Equivalent to the existence of a companion ``C = K X L^H`` (X invertible)
-    with ``phi(Z A C) = 0``; ``draws < 1`` is rejected on every route.
+    with ``phi(Z A C) = 0``.
 
     * Faithful phi (identity, or Hadamard with every off-diagonal entry
       nonzero): ``Z A C`` squares to zero because ``C Z = 0``, so
@@ -272,19 +265,17 @@ def some_path_bounded(
       is the most-invertible candidate sampled and ``residual`` its relative
       invertibility margin, or 0 with a zero witness when the solution space
       is trivial.  A false verdict is correct with probability 1 after
-      ``draws >= 1`` samples; seeds make it reproducible.
+      :data:`DEFAULT_DRAWS` samples; seeds make it reproducible.
     """
-    return _membership_existential(a, z, phi, tol, seed, draws, dual=False)
+    return _membership_existential(a, z, phi, seed, dual=False)
 
 
-def some_path_bounded_dual(
-    a, z, phi: Modifier, tol: Tolerance = DEFAULT_TOL, *, seed, draws: int = DEFAULT_DRAWS
-) -> MembershipVerdict:
+def some_path_bounded_dual(a, z, phi: Modifier, *, seed) -> MembershipVerdict:
     """Mirror of :func:`some_path_bounded` for ``phi(U^{-1} A U)``, i.e.
     existence of a companion with ``phi(C A Z) = 0``.  Under a faithful phi
     it is exact, with ``residual = ||L^H A Z||``: A keeps ``im(Z)``
     invariant."""
-    return _membership_existential(a, z, phi, tol, seed, draws, dual=True)
+    return _membership_existential(a, z, phi, seed, dual=True)
 
 
 @dataclass(frozen=True)
@@ -301,9 +292,7 @@ class FaithfulnessReport:
     exact: bool
 
 
-def nilpotent_faithful(
-    phi: Modifier, tol: Tolerance = DEFAULT_TOL, *, seed: int = 0, trials: int = 200
-) -> FaithfulnessReport:
+def nilpotent_faithful(phi: Modifier, *, seed: int = 0, trials: int = 200) -> FaithfulnessReport:
     """Decide whether ``phi(T) = 0`` forces ``T = 0`` among T with T^2 = 0.
 
     This property characterizes the modifiers that change no boundedness
@@ -323,11 +312,11 @@ def nilpotent_faithful(
         # argmax on the flattened mask finds the first zero in row-major order
         i, j = divmod(int(np.argmax(blind)), phi.dim)
         return FaithfulnessReport(False, _elementary(phi.dim, i, j), True)
-    return nilpotent_faithful_randomized(phi, tol, seed=seed, trials=trials)
+    return nilpotent_faithful_randomized(phi, seed=seed, trials=trials)
 
 
 def nilpotent_faithful_randomized(
-    phi: Modifier, tol: Tolerance = DEFAULT_TOL, *, seed: int = 0, trials: int = 200
+    phi: Modifier, *, seed: int = 0, trials: int = 200
 ) -> FaithfulnessReport:
     """Randomized falsifier usable for any modifier kind.
 
@@ -344,7 +333,7 @@ def nilpotent_faithful_randomized(
         tn = operator_norm(t)
         if tn <= 0.0:
             return False
-        return operator_norm(apply(phi, t)) <= tol.residual_scale(scale * tn)
+        return operator_norm(apply(phi, t)) <= DEFAULT_TOL.residual_scale(scale * tn)
 
     for i in range(n):
         for j in range(n):

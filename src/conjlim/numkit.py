@@ -43,6 +43,8 @@ __all__ = [
     "random_singular",
     "matrix_to_json",
     "matrix_from_json",
+    "matrices_from_json",
+    "read_field",
     "save_matrix",
     "load_matrix",
 ]
@@ -93,6 +95,7 @@ class Tolerance:
         return self.residual_abs * max(1.0, scale)
 
 
+#: The one numerical policy, read by every rank cut and residual threshold.
 DEFAULT_TOL = Tolerance()
 
 
@@ -210,19 +213,19 @@ def gated_inverse(us: np.ndarray):
     return inv, gate
 
 
-def svd_rank(m, tol: Tolerance = DEFAULT_TOL):
+def svd_rank(m):
     """One full SVD ``m = u @ diag(s) @ vh`` and the numerical rank r, the
-    number of ``sigma > rank_rel * sigma_max`` (0 for a zero matrix), as
-    ``(u, s, vh, r)``: ``vh[r:]^H`` spans ker m, ``u[:, :r]`` im m and
-    ``u[:, r:]`` ker m^H."""
+    number of ``sigma > DEFAULT_TOL.rank_rel * sigma_max`` (0 for a zero
+    matrix), as ``(u, s, vh, r)``: ``vh[r:]^H`` spans ker m, ``u[:, :r]``
+    im m and ``u[:, r:]`` ker m^H."""
     u, s, vh = np.linalg.svd(as_matrix(m))
-    r = int(np.count_nonzero(s > tol.rank_rel * s[0])) if s[0] > 0.0 else 0
+    r = int(np.count_nonzero(s > DEFAULT_TOL.rank_rel * s[0])) if s[0] > 0.0 else 0
     return u, s, vh, r
 
 
-def rank_of(m, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Numerical rank at the relative cutoff of ``tol``."""
-    return svd_rank(m, tol)[3]
+def rank_of(m) -> int:
+    """Numerical rank at the relative cutoff of :func:`svd_rank`."""
+    return svd_rank(m)[3]
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -235,12 +238,10 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 class Subspace:
     """A linear subspace of C^n stored as an orthonormal column basis.
 
-    ``basis`` has shape ``(ambient_dim, dim)``; ``dim`` may be zero.  The
-    tolerance that produced the subspace is kept alongside it.
+    ``basis`` has shape ``(ambient_dim, dim)``; ``dim`` may be zero.
     """
 
     basis: np.ndarray
-    tol: Tolerance = DEFAULT_TOL
 
     def __post_init__(self):
         b = np.asarray(self.basis, dtype=np.complex128)
@@ -250,7 +251,7 @@ class Subspace:
             raise InvalidInputError("subspace dimension exceeds ambient dimension")
         if b.shape[1] > 0:
             gram = b.conj().T @ b
-            if operator_norm(gram - np.eye(b.shape[1])) > 100 * self.tol.residual_scale():
+            if operator_norm(gram - np.eye(b.shape[1])) > 100 * DEFAULT_TOL.residual_scale():
                 raise InvalidInputError("subspace basis columns are not orthonormal")
         object.__setattr__(self, "basis", _readonly(b))
 
@@ -271,42 +272,42 @@ class Subspace:
         if x.size != self.ambient_dim:
             raise InvalidInputError("vector dimension does not match ambient dimension")
         res = x - self.projector() @ x
-        return float(np.linalg.norm(res)) <= self.tol.residual_scale(np.linalg.norm(x))
+        return float(np.linalg.norm(res)) <= DEFAULT_TOL.residual_scale(np.linalg.norm(x))
 
     @staticmethod
-    def from_span(vectors, tol: Tolerance = DEFAULT_TOL) -> "Subspace":
+    def from_span(vectors) -> "Subspace":
         """Orthonormalize the columns of ``vectors`` (rank-revealing)."""
-        return image_basis(vectors, tol)
+        return image_basis(vectors)
 
     @staticmethod
-    def zero(ambient_dim: int, tol: Tolerance = DEFAULT_TOL) -> "Subspace":
-        return Subspace(np.zeros((ambient_dim, 0)), tol)
+    def zero(ambient_dim: int) -> "Subspace":
+        return Subspace(np.zeros((ambient_dim, 0)))
 
     @staticmethod
-    def full(ambient_dim: int, tol: Tolerance = DEFAULT_TOL) -> "Subspace":
-        return Subspace(np.eye(ambient_dim), tol)
+    def full(ambient_dim: int) -> "Subspace":
+        return Subspace(np.eye(ambient_dim))
 
 
-def kernel_basis(m, tol: Tolerance = DEFAULT_TOL) -> Subspace:
+def kernel_basis(m) -> Subspace:
     """Orthonormal basis of the numerical null space of ``m`` (:func:`svd_rank`)."""
-    _, _, vh, r = svd_rank(m, tol)
-    return Subspace(vh[r:].conj().T, tol)
+    _, _, vh, r = svd_rank(m)
+    return Subspace(vh[r:].conj().T)
 
 
-def image_basis(m, tol: Tolerance = DEFAULT_TOL) -> Subspace:
+def image_basis(m) -> Subspace:
     """Orthonormal basis of the numerical column space of ``m`` (:func:`svd_rank`)."""
-    u, _, _, r = svd_rank(m, tol)
-    return Subspace(u[:, :r], tol)
+    u, _, _, r = svd_rank(m)
+    return Subspace(u[:, :r])
 
 
 def orthonormal_complement(s: Subspace) -> Subspace:
     """Orthonormal basis of the orthogonal complement."""
     if s.dim == 0:
-        return Subspace.full(s.ambient_dim, s.tol)
-    return kernel_basis(s.basis.conj().T, s.tol)
+        return Subspace.full(s.ambient_dim)
+    return kernel_basis(s.basis.conj().T)
 
 
-def subspace_equal(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
+def subspace_equal(s1: Subspace, s2: Subspace) -> bool:
     """True iff the two subspaces agree within the projector-norm tolerance."""
     if s1.ambient_dim != s2.ambient_dim:
         raise InvalidInputError(
@@ -316,22 +317,22 @@ def subspace_equal(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_TOL) -> 
         return False
     if s1.dim == 0:
         return True
-    return operator_norm(s1.projector() - s2.projector()) <= tol.residual_abs
+    return operator_norm(s1.projector() - s2.projector()) <= DEFAULT_TOL.residual_abs
 
 
-def subspace_intersection(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
+def subspace_intersection(s1: Subspace, s2: Subspace) -> Subspace:
     """Orthonormal basis of the intersection of two subspaces."""
     if s1.ambient_dim != s2.ambient_dim:
         raise InvalidInputError("ambient dimensions differ")
     n = s1.ambient_dim
     if s1.dim == 0 or s2.dim == 0:
-        return Subspace.zero(n, tol)
+        return Subspace.zero(n)
     eye = np.eye(n)
     stacked = np.vstack([eye - s1.projector(), eye - s2.projector()])
-    return kernel_basis(stacked, tol)
+    return kernel_basis(stacked)
 
 
-def psd_sqrt(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def psd_sqrt(m) -> np.ndarray:
     """Hermitian PSD square root of a Hermitian PSD matrix.
 
     Raises :class:`NotPSDError` when the input is materially non-Hermitian or
@@ -339,11 +340,11 @@ def psd_sqrt(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """
     a = as_square(m)
     norm = operator_norm(a)
-    if operator_norm(a - a.conj().T) > tol.residual_scale(norm):
+    if operator_norm(a - a.conj().T) > DEFAULT_TOL.residual_scale(norm):
         raise NotPSDError("matrix is not Hermitian within tolerance")
     h = 0.5 * (a + a.conj().T)
     w, v = np.linalg.eigh(h)
-    if w.size and float(w[0]) < -tol.residual_scale(norm):
+    if w.size and float(w[0]) < -DEFAULT_TOL.residual_scale(norm):
         raise NotPSDError(f"matrix has negative eigenvalue {w[0]:.3e}")
     w = np.clip(w, 0.0, None)
     root = (v * np.sqrt(w)) @ v.conj().T
@@ -390,13 +391,23 @@ def matrix_to_json(m) -> dict:
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": data}
 
 
-def matrix_from_json(obj) -> np.ndarray:
+def read_field(obj, key: str, parse, what: str):
+    """``parse(obj[key])`` for the dict ``obj`` describing a ``what``; a
+    non-dict, a missing key or a value ``parse`` rejects (``TypeError``,
+    ``ValueError``) raises :class:`InvalidInputError` naming the field."""
     if not isinstance(obj, dict):
-        raise InvalidInputError(f"matrix JSON must be an object, got {type(obj).__name__}")
+        raise InvalidInputError(f"{what} must be an object, got {type(obj).__name__}")
+    if key not in obj:
+        raise InvalidInputError(f"{what} is missing field {key!r}")
     try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInputError(f"matrix JSON missing or malformed field: {exc}") from exc
+        return parse(obj[key])
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{what} field {key!r} is malformed: {exc}") from exc
+
+
+def matrix_from_json(obj) -> np.ndarray:
+    rows, cols = (read_field(obj, key, int, "matrix JSON") for key in ("rows", "cols"))
+    data = read_field(obj, "data", list, "matrix JSON")
     if rows <= 0 or cols <= 0:
         raise InvalidInputError(f"matrix dimensions must be positive, got {rows}x{cols}")
     if len(data) != rows * cols:
@@ -405,10 +416,16 @@ def matrix_from_json(obj) -> np.ndarray:
         )
     flat = np.empty(rows * cols, dtype=np.complex128)
     for i, pair in enumerate(data):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise InvalidInputError(f"entry {i} must be a [re, im] pair, got {pair!r}")
-        flat[i] = complex(float(pair[0]), float(pair[1]))
+        try:
+            real, imag = pair if isinstance(pair, (list, tuple)) else ()
+            flat[i] = complex(float(real), float(imag))
+        except (TypeError, ValueError):
+            raise InvalidInputError(f"entry {i} must be a [re, im] pair, got {pair!r}") from None
     return as_matrix(flat.reshape(rows, cols))
+
+
+def matrices_from_json(objs) -> list:
+    return [matrix_from_json(obj) for obj in objs]
 
 
 def save_matrix(path, m) -> None:

@@ -18,7 +18,6 @@ from .numkit import (
     ConjlimError,
     InvalidInputError,
     Subspace,
-    Tolerance,
     as_square,
     as_square_like,
     as_vector,
@@ -66,8 +65,8 @@ class PathSingularError(ConjlimError):
 
 def log_grid(t_max: float = 1e-1, t_min: float = 1e-6, count: int = 26) -> np.ndarray:
     """Logarithmically spaced decreasing grid on ``[t_min, t_max]``."""
-    if not (0 < t_min < t_max):
-        raise InvalidInputError("grid endpoints must satisfy 0 < t_min < t_max")
+    if not (0 < t_min < t_max < np.inf):
+        raise InvalidInputError("grid endpoints must satisfy 0 < t_min < t_max < inf")
     if count < 2:
         raise InvalidInputError("grid needs at least two points")
     return np.geomspace(t_max, t_min, count)
@@ -189,6 +188,15 @@ class GrowthReport:
         }
 
 
+def _finite_on_grid(stack: np.ndarray, ts: np.ndarray, what: str) -> np.ndarray:
+    """``stack``, one matrix per t; :class:`InvalidInputError` at the first
+    t in grid order whose matrix has a non-finite entry."""
+    if not np.isfinite(stack).all():
+        first = ts[~np.isfinite(stack).all(axis=(-2, -1))][0]
+        raise InvalidInputError(f"{what} at grid point t = {first}")
+    return stack
+
+
 def simulate(
     path: MatrixPath,
     a,
@@ -210,9 +218,9 @@ def simulate(
     grid order, and :class:`~conjlim.numkit.InvalidInputError` for a grid
     that is not a non-empty 1-d array of finite positive t, whose fit window
     holds fewer than two distinct t, or at whose points ``U A U^{-1}``
-    overflows, naming the first such t in grid order.  Near-constant windows
-    are treated as perfect bounded fits; norms vanishing over the smallest
-    decade report ``alpha = 0``.
+    overflows or ``phi(U A U^{-1})`` is not finite, naming the first such t
+    in grid order.  Near-constant windows are treated as perfect bounded
+    fits; norms vanishing over the smallest decade report ``alpha = 0``.
     """
     A = as_square(a, "A")
     n = A.shape[0]
@@ -226,11 +234,9 @@ def simulate(
     if gate.any():
         raise PathSingularError(f"path is singular at grid point t = {ts[gate.argmax()]}")
     with np.errstate(over="ignore", invalid="ignore"):
-        conj = (us @ A) @ inv
-    if not np.isfinite(conj).all():
-        first = ts[~np.isfinite(conj).all(axis=(-2, -1))][0]
-        raise InvalidInputError(f"U(t) A U(t)^-1 overflows at grid point t = {first}")
-    norms = np.linalg.svd(apply(phi, conj), compute_uv=False)[:, 0]
+        conj = _finite_on_grid((us @ A) @ inv, ts, "U(t) A U(t)^-1 overflows")
+        image = _finite_on_grid(apply(phi, conj), ts, "phi(U(t) A U(t)^-1) is not finite")
+    norms = np.linalg.svd(image, compute_uv=False)[:, 0]
 
     # fit on the smallest decade, widened to the three smallest points when
     # the decade holds fewer
@@ -501,7 +507,7 @@ class Filtration:
         return tuple(s.dim for s in self.spaces)
 
 
-def kernel_filtration(mats, tol: Tolerance = DEFAULT_TOL) -> Filtration:
+def kernel_filtration(mats) -> Filtration:
     """``F^i = ker(E_0) ^ ... ^ ker(E_i)`` for the given coefficient list.
 
     For coefficients of a path that is invertible near zero the chain
@@ -510,13 +516,13 @@ def kernel_filtration(mats, tol: Tolerance = DEFAULT_TOL) -> Filtration:
     ms = [as_square(m, "coefficient") for m in mats]
     if not ms:
         raise InvalidInputError("coefficient list must be non-empty")
-    spaces = [kernel_basis(ms[0], tol)]
+    spaces = [kernel_basis(ms[0])]
     for m in ms[1:]:
-        spaces.append(subspace_intersection(spaces[-1], kernel_basis(m, tol), tol))
+        spaces.append(subspace_intersection(spaces[-1], kernel_basis(m)))
     return Filtration(tuple(spaces))
 
 
-def preserves_filtration(a, filtration: Filtration, tol: Tolerance = DEFAULT_TOL):
+def preserves_filtration(a, filtration: Filtration):
     """Does ``A`` map every ``F^i`` into itself?
 
     Returns a :class:`~conjlim.criteria.MembershipVerdict`; the witness on
@@ -526,7 +532,7 @@ def preserves_filtration(a, filtration: Filtration, tol: Tolerance = DEFAULT_TOL
     n = A.shape[0]
     if filtration.ambient_dim != n:
         raise InvalidInputError("A must match the filtration's ambient dimension")
-    threshold = tol.residual_scale(operator_norm(A))
+    threshold = DEFAULT_TOL.residual_scale(operator_norm(A))
     worst = 0.0
     eye = np.eye(n)
     for space in filtration.spaces:

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import criteria, goodpath, modifier, pathsim
-from .numkit import ConjlimError, ginibre, operator_norm, poly_eval, random_singular
+from .numkit import (
+    ConjlimError, InvalidInputError, ginibre, operator_norm, poly_eval, random_singular
+)
 
 __all__ = ["SuiteCase", "SuiteReport", "UnknownSuiteError", "run_suite", "SUITE_IDS"]
 
@@ -64,9 +66,14 @@ class SuiteReport:
 
 
 def _count(config: dict | None, key: str, default: int) -> int:
-    if config and key in config:
-        return int(config[key])
-    return default
+    """``config[key]``, else ``default``; :class:`InvalidInputError` unless
+    the config is a JSON object and the count a positive integer."""
+    if config is not None and not isinstance(config, dict):
+        raise InvalidInputError(f"suite config must be a JSON object, got {type(config).__name__}")
+    value = (config or {}).get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise InvalidInputError(f"suite config {key!r} must be a positive integer, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------

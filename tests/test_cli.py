@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conjlim import cli, suites
+from conjlim.goodpath import construct_good_path
 from conjlim.numkit import ginibre, load_matrix, matrix_to_json, save_matrix
 
 
@@ -238,6 +239,53 @@ class TestSimulatePathKinds:
         assert "unknown path kind" in capsys.readouterr().err
 
 
+LINEAR = {
+    "base": matrix_to_json(np.diag([1.0, 0.0])),
+    "coeffs": [matrix_to_json(np.diag([0.0, 1.0]))],
+}
+GOOD = construct_good_path(np.diag([1.0, 0.0]), order=2).to_json()
+
+
+def without(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
+
+
+class TestMalformedSpecs:
+    """A malformed path or grid spec is an input error: exit 2 and one
+    ``error:`` line naming the bad field, with no traceback or warning."""
+
+    @pytest.mark.parametrize(
+        "kind, spec, grid, named",
+        [
+            ("linear", without(LINEAR, "coeffs"), None, "'coeffs'"),
+            ("linear", without(LINEAR, "base"), None, "'base'"),
+            ("linear", [LINEAR], None, "must be an object, got list"),
+            ("poly", {**LINEAR, "coeffs": 3}, None, "'coeffs'"),
+            ("goodpath", without(GOOD, "path_coeffs"), None, "'path_coeffs'"),
+            ("goodpath", [GOOD], None, "must be an object, got list"),
+            ("goodpath", {**GOOD, "order": "x"}, None, "'order'"),
+            ("goodpath", {**GOOD, "inverse_pole": [1]}, None, "'inverse_pole'"),
+            ("samples", {"samples": [{"matrix": LINEAR["base"]}]}, None, "'t'"),
+            ("samples", {"samples": 3}, None, "'samples'"),
+            ("linear", LINEAR, "x:1:3", "'tmin'"),
+            ("linear", LINEAR, "1e-6:y:3", "'tmax'"),
+            ("linear", LINEAR, "1e-6:1e-1:2.5", "'count'"),
+            ("linear", LINEAR, "1e-6:inf:26", "t_max < inf"),
+        ],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_reported_as_input_error(self, kind, spec, grid, named, tmp_path, capsys):
+        spec_path = tmp_path / "path.json"
+        spec_path.write_text(json.dumps(spec))
+        ap = tmp_path / "a.json"
+        save_matrix(ap, np.eye(2))
+        args = ["simulate", "--path", f"{kind}:{spec_path}", "--A", ap]
+        assert run(args + (["--grid", grid] if grid else [])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert named in err
+
+
 class TestSuiteCommand:
     def test_dim_formula_passes(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -250,6 +298,22 @@ class TestSuiteCommand:
     def test_unknown_suite(self, capsys):
         assert run(["suite", "--id", "unknown", "--seed", 1]) == 2
         assert "unknown suite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "suite_id, config, named",
+        [
+            ("dim-formula", "3", "must be a JSON object, got int"),
+            ("goodpath-residual", '{"instances": "x"}', "'instances'"),
+            ("dichotomy", '{"instances": 0}', "'instances'"),
+            ("rigidity", '{"instances": -3}', "'instances'"),
+            ("example-3x3", '{"companions": 2.5}', "'companions'"),
+            ("appendix-a", '{"instances": true}', "'instances'"),
+        ],
+    )
+    def test_bad_config_is_input_error(self, suite_id, config, named, capsys):
+        assert run(["suite", "--id", suite_id, "--seed", 1, "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
 
     def test_deterministic_reports(self):
         r1 = suites.run_suite("dim-formula", seed=7)

@@ -1,7 +1,8 @@
 """Static checks on the package source, with the standard library only:
 no module imports a name it never uses, every name listed in a module's
 ``__all__`` exists, every function reads each of its parameters, ranks are
-cut and singular matrices gated in ``numkit`` only, and the package imports
+cut and singular matrices gated in ``numkit`` only, every threshold reads
+the one ``numkit.DEFAULT_TOL``, and the package imports
 exactly the dependencies ``pyproject.toml`` declares."""
 
 import ast
@@ -230,6 +231,50 @@ def test_singular_rel_read_in_numkit_only():
         for line in singular_rel_lines(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert not found, f"gate singular matrices with numkit.singular or gated_inverse: {found}"
+
+
+def tolerance_sites(tree: ast.Module, home: bool) -> list:
+    """Lines that declare a parameter or class field named ``tol``, or call
+    ``Tolerance(...)``; in the policy's ``home`` module the call that builds
+    ``DEFAULT_TOL`` is allowed."""
+    allowed = set()
+    for node in tree.body:
+        if home and isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "DEFAULT_TOL" for t in node.targets
+        ):
+            allowed.update(id(n) for n in ast.walk(node.value))
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            lines += [node.lineno for p in params if p is not None and p.arg == "tol"]
+        elif isinstance(node, ast.ClassDef):
+            lines += [
+                item.lineno
+                for item in node.body
+                if isinstance(item, ast.AnnAssign) and ast.unparse(item.target) == "tol"
+            ]
+        elif (
+            isinstance(node, ast.Call)
+            and ast.unparse(node.func).split(".")[-1] == "Tolerance"
+            and id(node) not in allowed
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_one_numerical_policy():
+    # every rank cut and residual threshold reads numkit.DEFAULT_TOL, so a
+    # change of policy is a change to that one record, not to each caller
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        for line in tolerance_sites(
+            ast.parse(path.read_text(encoding="utf-8")), path.name == "numkit.py"
+        )
+    ]
+    assert not found, f"read numkit.DEFAULT_TOL instead of taking a tolerance: {found}"
 
 
 def imported_packages(tree: ast.Module) -> set:

@@ -315,7 +315,6 @@ class TestSvdRank:
         for scale in (1e-20, 1.0, 1e20):
             m = scale * np.diag([1.0, 2e-10, 1e-10, 5e-11])
             assert svd_rank(m)[3] == 2
-        assert svd_rank(np.diag([1.0, 1e-4]), Tolerance(rank_rel=1e-3))[3] == 1
 
     def test_zero_matrix_has_rank_zero(self):
         u, s, vh, r = svd_rank(np.zeros((3, 3)))
@@ -415,6 +414,9 @@ class TestMatrixJson:
             {"cols": 1, "data": [[1, 0]]},
             {"rows": 1, "cols": 1, "data": [[1]]},
             [1, 2, 3],
+            {"rows": 1, "cols": 1, "data": [["x", 0]]},
+            {"rows": 1, "cols": 1, "data": [[None, 0]]},
+            {"rows": "one", "cols": 1, "data": [[1, 0]]},
         ],
     )
     def test_rejects_malformed(self, obj):

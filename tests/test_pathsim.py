@@ -293,6 +293,23 @@ class TestSimulate:
             # one power of ten lower stays finite on the whole grid
             assert simulate(path, 1e300 * unit(2, 0, 1)).norm_max == pytest.approx(1e306)
 
+    def test_overflowing_modifier_image_names_its_t(self):
+        # the conjugate 1e300 / t E12 is finite on the whole grid, but
+        # 1e10 times it overflows from the first grid point on
+        path = MatrixPath.linear(diag(1.0, 0.0), diag(0.0, 1.0))
+        phi = Modifier.general(1e10 * np.eye(4))
+        first = log_grid()[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                InvalidInputError,
+                match=rf"^phi\(U\(t\) A U\(t\)\^-1\) is not finite at grid point t = {first}$",
+            ):
+                simulate(path, 1e300 * unit(2, 0, 1), phi)
+            # a modifier ten powers smaller keeps every image finite
+            small = simulate(path, 1e300 * unit(2, 0, 1), Modifier.general(np.eye(4)))
+            assert small.norm_max == pytest.approx(1e306)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_closed_form_fit_matches_polyfit(self, seed):
         # along diag(1, 1/v) the conjugate of E12 has norm v, so a samples
