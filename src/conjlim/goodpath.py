@@ -22,6 +22,7 @@ from .numkit import (
     Subspace,
     as_square,
     as_square_like,
+    gated_inverse,
     read_field,
     kernel_basis,
     matrices_from_json,
@@ -29,7 +30,6 @@ from .numkit import (
     matrix_to_json,
     operator_norm,
     poly_eval,
-    singular,
     subspace_equal,
     subspace_intersection,
     svd_rank,
@@ -110,6 +110,22 @@ class GoodPath:
         object.__setattr__(self, "path_coeffs", coeffs)
         object.__setattr__(self, "inverse_pole", pole)
         object.__setattr__(self, "inverse_series", series)
+
+    @classmethod
+    def _trusted(cls, base, path_coeffs, inverse_pole, inverse_series) -> "GoodPath":
+        """The record of complex square arrays of one shape, in tuples, that
+        the library has just computed, without the re-validation of
+        ``__post_init__``; ``order`` is read off the series."""
+        gp = object.__new__(cls)
+        for name, value in (
+            ("base", base),
+            ("path_coeffs", path_coeffs),
+            ("inverse_pole", inverse_pole),
+            ("inverse_series", inverse_series),
+            ("order", len(inverse_series) - 1),
+        ):
+            object.__setattr__(gp, name, value)
+        return gp
 
     @property
     def dim(self) -> int:
@@ -262,13 +278,7 @@ def construct_good_path(z, order: int = 8) -> GoodPath:
     c0 = (v_im * (1.0 / s[:rank])) @ v_im.conj().T @ unitary.conj().T
     zero = np.zeros((n, n), dtype=np.complex128)
     series = (c0,) + tuple(zero for _ in range(order))
-    return GoodPath(
-        base=Z,
-        path_coeffs=(filler,),
-        inverse_pole=pole,
-        inverse_series=series,
-        order=order,
-    )
+    return GoodPath._trusted(Z, (filler,), pole, series)
 
 
 def laurent_inverse(z, coeffs, order: int = 8):
@@ -286,6 +296,12 @@ def laurent_inverse(z, coeffs, order: int = 8):
     a residual of this (N+3)n-row system above :data:`LAURENT_REJECT_REL`
     times ``max(1, ||rhs|| + ||system||_F ||D||)`` raises
     :class:`NotAGoodPathError`.  Returns ``(pole, [C_0, ..., C_N])``.
+
+    The path is first gated at t = 1e-2, 1e-3 and 1e-4 by
+    :func:`~conjlim.numkit.gated_inverse`, the gate of
+    :func:`~conjlim.pathsim.simulate`, so only a point its LU residual
+    certificate cannot clear takes singular values; a path singular at one
+    of them raises :class:`InvalidPathError` naming the first such t.
     """
     Z = as_square(z, "Z")
     n = Z.shape[0]
@@ -293,7 +309,11 @@ def laurent_inverse(z, coeffs, order: int = 8):
     if order < 0:
         raise InvalidInputError(f"order must be nonnegative, got {order}")
 
-    gate = singular(np.linalg.svd(poly_eval(Z, es, _SAMPLE_TS), compute_uv=False))
+    try:
+        gate = gated_inverse(poly_eval(Z, es, _SAMPLE_TS))[1]
+    except np.linalg.LinAlgError:
+        # the LU failed, yet the gate fires nowhere: no point is singular
+        gate = np.zeros(len(_SAMPLE_TS), dtype=bool)
     if gate.any():
         t = _SAMPLE_TS[int(np.argmax(gate))]
         raise InvalidPathError(f"path is singular at sampled t = {t}")

@@ -30,6 +30,7 @@ __all__ = [
     "rank_of",
     "SINGULAR_REL",
     "singular",
+    "inverse_norm_bound",
     "gated_inverse",
     "Subspace",
     "kernel_basis",
@@ -170,21 +171,43 @@ def singular(s: np.ndarray):
     return s[..., -1] <= SINGULAR_REL * np.maximum(1.0, s[..., 0])
 
 
+def inverse_norm_bound(us: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Residual certificate of computed inverses ``inv`` of a stack ``us``:
+    per matrix, an upper bound on ``||U^{-1}||_2``, or ``inf`` where ``X``
+    cannot be certified.
+
+    With ``R = U X - I``, a matrix where ``||R||_F <= 1/2`` has
+    ``||U^{-1}||_2 <= ||X||_2 / (1 - ||R||_2) <= 2 ||X||_F``, which is
+    returned there; with ``sigma_max(U) <= ||U||_F``, ``2 ||U||_F ||X||_F``
+    then bounds the condition number ``sigma_max / sigma_min``.  This is the
+    a-posteriori residual bound for a computed inverse (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2nd ed., ch. 14).  A NaN or inf
+    anywhere in ``X`` leaves its matrix uncertified.
+    """
+    residual = us @ inv
+    residual -= np.eye(us.shape[-1])
+    return np.where(_frobenius_sq(residual) <= 0.25, 2.0 * np.sqrt(_frobenius_sq(inv)), np.inf)
+
+
+def _frobenius_sq(ms: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norms of a stack over its last two axes: one float
+    dot product each, several times cheaper than ``np.linalg.norm``."""
+    v = np.ascontiguousarray(ms, dtype=np.complex128).view(np.float64)
+    return np.einsum("...ij,...ij->...", v, v)
+
+
 def gated_inverse(us: np.ndarray):
     """Inverses of a stack ``us`` of square matrices, shape ``(k, n, n)``,
     and the :func:`singular` gate on each, as ``(inv, gate)``.
 
-    One batched LU inverse ``X`` serves both.  With ``R = U X - I``, a point
-    where ``||R||_F <= 1/2`` has ``||U^{-1}||_2 <= ||X||_2 / (1 - ||R||_2) <=
-    2 ||X||_F``, and ``sigma_max(U) <= ||U||_F``; so where also ``10 *
-    SINGULAR_REL * ||X||_F * max(1, ||U||_F) < 1``, ``sigma_min(U) >= 5 *
+    One batched LU inverse ``X`` serves both.  Where
+    :func:`inverse_norm_bound` certifies ``||U^{-1}||_2 <= b`` and ``5 *
+    SINGULAR_REL * b * max(1, ||U||_F) < 1``, ``sigma_min(U) >= 5 *
     SINGULAR_REL * max(1, sigma_max(U))``, five times clear of the gate and
     of the SVD's own rounding, and the gate reads False without an SVD.  The
     rounding of the residual product there is at most ``n * eps * ||U||_F
     ||X||_F < n * eps * 1e12``, under 4e-3 for n <= 16 and negligible
-    against 1/2.  This is the a-posteriori residual bound for a computed
-    inverse (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
-    ed., ch. 14).
+    against 1/2.
 
     Every other point, and every point when the LU fails, is gated by
     :func:`singular` on its singular values, exactly as without the
@@ -198,13 +221,8 @@ def gated_inverse(us: np.ndarray):
         inv, failure = None, err
         unsure = np.ones(us.shape[0], dtype=bool)
     else:
-        residual = np.linalg.norm(us @ inv - np.eye(us.shape[-1]), axis=(-2, -1))
-        fro_inv = np.linalg.norm(inv, axis=(-2, -1))
-        fro_u = np.linalg.norm(us, axis=(-2, -1))
-        # a NaN or inf anywhere leaves its point unsure
-        unsure = ~(
-            (residual <= 0.5) & (10.0 * SINGULAR_REL * fro_inv * np.maximum(1.0, fro_u) < 1.0)
-        )
+        fro_u = np.sqrt(_frobenius_sq(us))
+        unsure = ~(5.0 * SINGULAR_REL * inverse_norm_bound(us, inv) * np.maximum(1.0, fro_u) < 1.0)
     gate = np.zeros(us.shape[0], dtype=bool)
     if unsure.any():
         gate[unsure] = singular(np.linalg.svd(us[unsure], compute_uv=False))

@@ -6,6 +6,7 @@ polynomial-path boundedness test via adjugate/determinant degrees.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ from .numkit import (
     as_vector,
     gated_inverse,
     ginibre,
+    inverse_norm_bound,
     kernel_basis,
     operator_norm,
     poly_eval,
@@ -211,11 +213,13 @@ def simulate(
     ``(U A) U^{-1}`` and the singularity gate
     (:func:`~conjlim.numkit.gated_inverse`, which takes singular values only
     of the points its residual certificate cannot clear), one modifier
-    application and one batched norm.
+    application, none for the identity, whose image is the checked
+    conjugate, and one batched norm.
 
     Raises :class:`PathSingularError` if the path is singular at a grid
     point under :func:`~conjlim.numkit.singular`, naming the first such t in
-    grid order, and :class:`~conjlim.numkit.InvalidInputError` for a grid
+    grid order, and :class:`~conjlim.numkit.InvalidInputError` for a
+    modifier of another dimension than the path, for a grid
     that is not a non-empty 1-d array of finite positive t, whose fit window
     holds fewer than two distinct t, or at whose points ``U A U^{-1}``
     overflows or ``phi(U A U^{-1})`` is not finite, naming the first such t
@@ -228,6 +232,8 @@ def simulate(
         raise InvalidInputError("A must match the path dimension")
     if phi is None:
         phi = Modifier.identity(n)
+    if phi.dim != n:
+        raise InvalidInputError("modifier dimension mismatch")
     ts = path.grid(grid)
     us = path.values(ts)
     inv, gate = gated_inverse(us)
@@ -235,7 +241,10 @@ def simulate(
         raise PathSingularError(f"path is singular at grid point t = {ts[gate.argmax()]}")
     with np.errstate(over="ignore", invalid="ignore"):
         conj = _finite_on_grid((us @ A) @ inv, ts, "U(t) A U(t)^-1 overflows")
-        image = _finite_on_grid(apply(phi, conj), ts, "phi(U(t) A U(t)^-1) is not finite")
+        if phi.kind == "identity":
+            image = conj
+        else:
+            image = _finite_on_grid(apply(phi, conj), ts, "phi(U(t) A U(t)^-1) is not finite")
     norms = np.linalg.svd(image, compute_uv=False)[:, 0]
 
     # fit on the smallest decade, widened to the three smallest points when
@@ -549,26 +558,73 @@ def preserves_filtration(a, filtration: Filtration):
 # ---------------------------------------------------------------------------
 # Exact polynomial-path test.
 
-def _batched_adjugate(us: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Adjugates of a stack of square matrices, their singular values and
-    their determinants.
+def _lu_inverses(us: np.ndarray) -> np.ndarray:
+    """Batched LU inverses of a stack; when an exactly singular matrix fails
+    the batch, the others are inverted one by one and it reads NaN."""
+    try:
+        return np.linalg.inv(us)
+    except np.linalg.LinAlgError:
+        out = np.full(us.shape, np.nan, dtype=np.complex128)
+        for k, u in enumerate(us):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                out[k] = np.linalg.inv(u)
+        return out
 
-    With ``U = W diag(s) V^H`` the adjugate is
-    ``det(W) det(V^H) V diag(prod_{j != i} s_j) W^H`` (G. W. Stewart, "On the
-    adjugate matrix", LAA 283, 1998) and the determinant is
-    ``det(W) det(V^H) prod_j s_j``; the unit phase ``det(W V^H)`` takes one
-    LU per matrix.  The products skipping one singular value come from
+
+def _cond_max(n: int) -> float:
+    """Largest certified condition number at which ``det(U) U^{-1}`` stands
+    in for the adjugate of an n x n matrix.
+
+    Its error relative to ``||adj U||`` is about ``n * eps * kappa`` for
+    condition number kappa, against Stewart's ``eps``; capping kappa at
+    ``POLY_COEFF_REL / (100 n eps)`` keeps it 100 times under the cut
+    :func:`polynomial_growth_degrees` makes on the coefficients (about 4.5e3
+    at n = 10).
+    """
+    return POLY_COEFF_REL / (100.0 * n * np.finfo(float).eps)
+
+
+def _batched_adjugate(us: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Adjugates of a stack of square matrices, their determinants and the
+    noise factors of those determinants.
+
+    One batched LU inverse ``X`` is certified by
+    :func:`~conjlim.numkit.inverse_norm_bound`: where the certified condition
+    number ``kappa = ||U||_F * bound >= sigma_1 / sigma_n`` is at most
+    :func:`_cond_max`, the adjugate is ``det(U) X`` with ``det(U)`` from an
+    LU, and the noise factor is ``|det U| kappa``, an upper bound of
+    ``s_1 prod_{j<n-1} s_j = |det U| sigma_1 / sigma_n``.
+
+    Every other matrix, among them every singular one, takes an SVD
+    ``U = W diag(s) V^H``: the adjugate is ``det(W) det(V^H) V diag(prod_{j
+    != i} s_j) W^H`` (G. W. Stewart, "On the adjugate matrix", LAA 283,
+    1998), the determinant ``det(W) det(V^H) prod_j s_j`` and the noise
+    factor ``s_1 prod_{j<n-1} s_j``; the unit phase ``det(W V^H)`` takes
+    one LU per matrix.  The products skipping one singular value come from
     prefix and suffix products, never by division, so the adjugate stays
     accurate where U is singular or nearly so.
     """
-    w, s, vh = np.linalg.svd(us)
-    phase = np.linalg.det(w @ vh)
-    ones = np.ones((us.shape[0], 1))
-    before = np.cumprod(np.concatenate([ones, s[:, :-1]], axis=1), axis=1)
-    after = np.cumprod(np.concatenate([ones, s[:, :0:-1]], axis=1), axis=1)[:, ::-1]
-    v = vh.conj().swapaxes(-1, -2)
-    adj = (phase[:, None, None] * v * (before * after)[:, None, :]) @ w.conj().swapaxes(-1, -2)
-    return adj, s, phase * s.prod(axis=1)
+    n = us.shape[-1]
+    inv = _lu_inverses(us)
+    with np.errstate(invalid="ignore"):
+        # a zero matrix has no certified inverse: inf * 0 reads NaN, not cleared
+        kappa = inverse_norm_bound(us, inv) * np.linalg.norm(us, axis=(-2, -1))
+    cleared = kappa <= _cond_max(n)
+    dets = np.linalg.det(us)
+    adj = dets[:, None, None] * inv
+    noise = np.abs(dets) * np.where(cleared, kappa, 0.0)
+    if not cleared.all():
+        w, s, vh = np.linalg.svd(us[~cleared])
+        phase = np.linalg.det(w @ vh)
+        ones = np.ones((s.shape[0], 1))
+        before = np.cumprod(np.concatenate([ones, s[:, :-1]], axis=1), axis=1)
+        after = np.cumprod(np.concatenate([ones, s[:, :0:-1]], axis=1), axis=1)[:, ::-1]
+        v = vh.conj().swapaxes(-1, -2)
+        skip_one = phase[:, None, None] * v * (before * after)[:, None, :]
+        adj[~cleared] = skip_one @ w.conj().swapaxes(-1, -2)
+        dets[~cleared] = phase * s.prod(axis=1)
+        noise[~cleared] = s[:, 0] * s[:, :-1].prod(axis=1)
+    return adj, dets, noise
 
 
 def _poly_samples(z: np.ndarray, coeffs, a: np.ndarray):
@@ -583,16 +639,17 @@ def _poly_samples(z: np.ndarray, coeffs, a: np.ndarray):
     n = z.shape[0]
     count = n * len(coeffs) + 1
     us = poly_eval(z, coeffs, np.exp(2j * np.pi * np.arange(count) / count))
-    adj, s, dets = _batched_adjugate(us)
+    adj, dets, noise = _batched_adjugate(us)
     prods = us @ a @ adj
-    # noise floor of a determinant from the SVD: a backward error of order
-    # eps*s_max moves det(U) by about that times ||adj(U)|| = prod_{j<n-1} s_j.
+    # noise floor of a determinant: a backward error of order eps*s_max
+    # moves det(U) by about that times ||adj(U)|| = prod_{j<n-1} s_j, and
+    # the noise factors are s_1 prod_{j<n-1} s_j or an upper bound of it.
     # It is no bound at n <= 2, where rounding the phase and the modulus can
     # exceed it; no verdict rests on that, since only the largest DFT
     # coefficient is compared with it, to tell a determinant that vanishes
     # identically from one that does not
-    noise = n * n * np.finfo(float).eps * (s[:, 0] * s[:, :-1].prod(axis=1)).max()
-    return np.fft.fft(dets) / count, np.fft.fft(prods, axis=0) / count, float(noise)
+    floor = n * n * np.finfo(float).eps * noise.max()
+    return np.fft.fft(dets) / count, np.fft.fft(prods, axis=0) / count, float(floor)
 
 
 def polynomial_growth_degrees(z, coeffs, a):
@@ -600,12 +657,22 @@ def polynomial_growth_degrees(z, coeffs, a):
 
     Both polynomials have degree at most ``n p`` for a path of degree p, so
     they are sampled at the ``n p + 1`` roots of unity, from one stacked
-    path evaluation and one batched SVD, which gives the adjugate in
-    Stewart's form and the determinant, and their coefficients recovered by
-    an inverse DFT.  Returns ``(product_degree, det_degree)`` where a degree
+    path evaluation, and their coefficients recovered by an inverse DFT.
+    :func:`_batched_adjugate` gives the adjugates and determinants: one
+    batched LU inverse and one batched determinant where a residual
+    certificate bounds the condition number, Stewart's SVD form at the
+    other samples.  Returns ``(product_degree, det_degree)`` where a degree
     of ``None`` means the polynomial vanishes identically: all its
     coefficients are zero, or, for the determinant, its largest coefficient
     is at or below the noise floor of its samples.
+
+    A certified sample cannot decide that: by Parseval the largest of the
+    ``n p + 1`` DFT coefficients is at least ``|det U_j| / (n p + 1)`` for
+    every sample j, while a certified sample's floor ``n^2 eps |det U_j|
+    kappa_j`` stays under ``n (n p + 1) 1e-11`` times that (see
+    :func:`_cond_max`).  The floor is the largest over the samples, so it
+    decides only when an SVD sample sets it, at the value it has without
+    the certificate.
     """
     Z = as_square(z, "Z")
     A = as_square_like(Z, a, "A")

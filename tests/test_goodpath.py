@@ -97,6 +97,27 @@ class TestConstruction:
             assert gp.annihilation_residual() <= 1e-10
             assert is_pole_coefficient(gp.inverse_pole, gp.base)
 
+    def test_record_is_built_without_revalidation(self, monkeypatch):
+        # every field is computed in construct_good_path, so the record
+        # matches what the validating constructor stores without its checks
+        z = random_singular(3, 1, np.random.default_rng(4))
+        gp = construct_good_path(z, order=8)
+        checked = GoodPath(gp.base, gp.path_coeffs, gp.inverse_pole, gp.inverse_series, 8)
+        for got, want in zip(
+            (gp.base, gp.inverse_pole, *gp.path_coeffs, *gp.inverse_series),
+            (checked.base, checked.inverse_pole, *checked.path_coeffs, *checked.inverse_series),
+            strict=True,
+        ):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert gp.order == checked.order == 8
+        assert isinstance(gp.path_coeffs, tuple) and isinstance(gp.inverse_series, tuple)
+
+        def failing(self):
+            raise AssertionError("re-validated")
+
+        monkeypatch.setattr(GoodPath, "__post_init__", failing)
+        construct_good_path(z, order=8)
+
     def test_path_values_invert_exactly_near_zero(self):
         gp = construct_good_path(random_singular(4, 2, np.random.default_rng(3)))
         for t in (1e-2, 1e-4, 1e-6):
@@ -363,6 +384,8 @@ class TestSerialization:
         back = GoodPath.from_json(json.loads(json.dumps(gp.to_json())))
         assert np.array_equal(back.base, gp.base)
         assert np.array_equal(back.inverse_pole, gp.inverse_pole)
+        for got, want in zip(back.inverse_series, gp.inverse_series, strict=True):
+            assert np.array_equal(got, want)
         assert back.order == gp.order
         assert back.has_pole == gp.has_pole
         back.validate()

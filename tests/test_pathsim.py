@@ -280,6 +280,17 @@ class TestSimulate:
         with pytest.raises(InvalidInputError, match="two distinct t"):
             simulate(path, unit(2, 0, 1), grid=grid)
 
+    def test_identity_image_is_the_checked_conjugate(self, monkeypatch):
+        # apply would copy the conjugate stack and scan it for finiteness again
+        monkeypatch.setattr(pathsim, "apply", None)
+        report = simulate(MatrixPath.linear(diag(1.0, 0.0), diag(0.0, 1.0)), unit(2, 0, 1))
+        assert report.verdict == "divergent"
+
+    @pytest.mark.parametrize("phi", [Modifier.identity(3), Modifier.delete_diagonal(3)])
+    def test_modifier_of_another_dimension_is_rejected(self, phi):
+        with pytest.raises(InvalidInputError, match="modifier dimension"):
+            simulate(MatrixPath.linear(diag(1.0, 0.0), diag(0.0, 1.0)), np.eye(2), phi)
+
     def test_overflowing_conjugate_names_its_t(self):
         # the conjugate of the finite 1e305 E12 is 1e305 / t E12, which
         # overflows once t < 1e305 / max_float
@@ -365,6 +376,32 @@ class TestSingularityGate:
         simulate(path, np.eye(2), grid=grid)
         assert [s.shape for s in stacks] == [(1, 2, 2), (3, 2, 2)]
         assert np.array_equal(stacks[0], path.values([1e-4]))
+
+    def test_laurent_gate_svd_takes_only_the_point_the_lu_cannot_clear(self, monkeypatch):
+        # the sample points of laurent_inverse are the grid above
+        z, e = diag(1.0, 0.0), diag(0.0, 2e-9)
+        stacks = []
+        svd = np.linalg.svd
+
+        def recording(a, *args, **kwargs):
+            stacks.append(np.array(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        laurent_inverse(z, [e], order=2)
+        assert [s.shape for s in stacks] == [(1, 2, 2)]
+        assert np.array_equal(stacks[0], MatrixPath.linear(z, e).values([1e-4]))
+
+    def test_laurent_inverse_survives_an_lu_failure_the_gate_clears(self, monkeypatch):
+        def failing(a):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        z, e = diag(1.0, 0.0), diag(0.0, 1.0)
+        want = laurent_inverse(z, [e], order=2)
+        monkeypatch.setattr(np.linalg, "inv", failing)
+        got = laurent_inverse(z, [e], order=2)
+        assert np.array_equal(got[0], want[0])
+        assert all(np.array_equal(g, w) for g, w in zip(got[1], want[1], strict=True))
 
     @pytest.mark.parametrize("top", [1e-2, 0.5, 7.0, 1e3])
     def test_gate_matches_the_svd_gate_near_the_threshold(self, top):
@@ -640,11 +677,11 @@ class TestPolynomialPathBounded:
         a = ginibre(n, rng=np.random.default_rng(n + 10 * p))
         assert polynomial_growth_degrees(np.zeros((n, n)), coeffs, a) == (n * p, n * p)
 
-    def test_takes_one_svd_and_one_det_over_the_samples(self, monkeypatch):
+    def test_takes_one_inv_and_one_det_over_the_samples(self, monkeypatch):
         # both polynomials have degree at most n p, so n p + 1 samples; the
-        # SVD gives the adjugate and the determinant, whose unit phase takes
-        # the one batched det
-        calls = {"svd": [], "det": []}
+        # residual certificate clears every sample of a well-conditioned
+        # path, whose adjugates det(U) U^{-1} then take no SVD
+        calls = {"svd": [], "det": [], "inv": []}
 
         def recording(name, fn):
             def wrapped(m, *args, **kwargs):
@@ -661,7 +698,56 @@ class TestPolynomialPathBounded:
         z = random_singular(n, 2, rng)
         coeffs = [ginibre(n, rng=rng) for _ in range(p)]
         polynomial_growth_degrees(z, coeffs, ginibre(n, rng=rng))
-        assert calls == {"svd": [(n * p + 1, n, n)], "det": [(n * p + 1, n, n)]}
+        stack = (n * p + 1, n, n)
+        assert calls == {"svd": [], "det": [stack], "inv": [stack]}
+
+    def test_svd_takes_only_the_samples_the_lu_cannot_clear(self, monkeypatch):
+        # diag(1 - t, t) is exactly singular at the sample t = 1 and well
+        # conditioned at the other two cube roots of unity
+        z, e = diag(1.0, 0.0), diag(-1.0, 1.0)
+        stacks = []
+        svd = np.linalg.svd
+
+        def recording(a, *args, **kwargs):
+            stacks.append(np.array(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        assert polynomial_growth_degrees(z, [e], unit(2, 0, 1)) == (0, 1)
+        assert [s.shape for s in stacks] == [(1, 2, 2)]
+        assert np.array_equal(stacks[0], diag(0.0, 1.0)[None])
+
+    def test_degrees_match_stewarts_form_at_every_sample(self, monkeypatch):
+        # one sample at distance delta from a singular matrix, delta
+        # log-spaced across the certificate's reach, and identically
+        # singular paths; A keeps ker Z invariant on every other path, so
+        # low product coefficients cancel and rounding decides no degree
+        # only if it stays under the cut.  With no sample certified every
+        # adjugate takes Stewart's SVD form
+        rng = np.random.default_rng(23)
+        cases = []
+        for i, delta in enumerate(np.geomspace(1e-14, 1.0, 90)):
+            n = int(rng.integers(1, 7))
+            # Z = 0 and p = 1 put every sample t * U(1) near singular
+            p = 1 if i % 3 == 1 else int(rng.integers(1, 4))
+            z = random_singular(n, 0 if i % 3 == 1 else int(rng.integers(0, n)), rng)
+            coeffs = [ginibre(n, rng=rng) * rng.choice([1e-3, 1.0, 1e3]) for _ in range(p)]
+            # U(1) = z + sum(coeffs) = a corank-one matrix plus delta * G
+            near = random_singular(n, n - 1, rng) + delta * ginibre(n, rng=rng)
+            coeffs[-1] += near - z - sum(coeffs)
+            if i % 6 == 0:
+                for m in (z, *coeffs):
+                    m[-1] = m[0] if n > 1 and i % 12 else 0
+            a = random_member(z, rng) if i % 2 else ginibre(n, rng=rng)
+            cases.append((z, coeffs, a))
+        certified = [polynomial_growth_degrees(*case) for case in cases]
+        monkeypatch.setattr(pathsim, "_cond_max", lambda n: 0.0)
+        for case, got in zip(cases, certified):
+            want = polynomial_growth_degrees(*case)
+            if want[1] is None:
+                assert got[1] is None
+            else:
+                assert got == want
 
     def test_agrees_with_simulation(self):
         rng = np.random.default_rng(6)
@@ -715,7 +801,8 @@ class TestAdjugate:
     def det_floor(stack):
         """The determinant noise floor ``n^2 eps s_1 prod_{j<n-1} s_j``."""
         n = stack.shape[-1]
-        _, s, det = _batched_adjugate(stack)
+        s = np.linalg.svd(stack, compute_uv=False)
+        det = _batched_adjugate(stack)[1]
         return det, n * n * np.finfo(float).eps * s[:, 0] * s[:, :-1].prod(axis=1)
 
     def test_determinant_full_rank(self):
