@@ -12,9 +12,7 @@ from .numkit import (
     ConjlimError,
     DEFAULT_TOL,
     InvalidInputError,
-    NotPSDError,
     Subspace,
-    Tolerance,
     ginibre,
     image_basis,
     kernel_basis,
@@ -23,7 +21,6 @@ from .numkit import (
     matrix_to_json,
     operator_norm,
     orthonormal_complement,
-    psd_sqrt,
     random_singular,
     random_unitary,
     rank_of,

@@ -26,10 +26,10 @@ from .numkit import (
     InvalidInputError,
     as_square,
     as_square_like,
+    gated_inverse,
     kernel_basis,
     operator_norm,
     orthonormal_complement,
-    singular,
     svd_rank,
 )
 
@@ -132,14 +132,15 @@ def keeps_image_invariant(a, z) -> MembershipVerdict:
 def _pole_term(a, z, c, dual: bool) -> MembershipVerdict:
     A, Z = _pair(a, z)
     C = as_square_like(Z, c, "C")
-    scale = DEFAULT_TOL.residual_scale(operator_norm(Z) * operator_norm(C))
+    norm_z, norm_c = operator_norm(Z), operator_norm(C)
+    scale = DEFAULT_TOL.residual_scale(norm_z * norm_c)
     zc = operator_norm(Z @ C)
     cz = operator_norm(C @ Z)
     if zc > scale or cz > scale:
         raise PoleConditionError(
             f"companion matrix must satisfy ZC = CZ = 0; got ||ZC||={zc:.3e}, ||CZ||={cz:.3e}"
         )
-    threshold = DEFAULT_TOL.residual_scale(operator_norm(Z) * operator_norm(A) * operator_norm(C))
+    threshold = DEFAULT_TOL.residual_scale(norm_z * operator_norm(A) * norm_c)
     product = C @ A @ Z if dual else Z @ A @ C
     residual = operator_norm(product)
     if residual <= threshold:
@@ -207,16 +208,15 @@ def kernel_algebra_basis(z) -> list[np.ndarray]:
 
 
 def conjugate_family(mats, p) -> list[np.ndarray]:
-    """``[p^{-1} B p for B in mats]``; :class:`SingularMatrixError` when
-    :func:`numkit.singular` gates ``p``."""
+    """``[p^{-1} B p for B in mats]``, with ``p^{-1}`` from
+    :func:`numkit.gated_inverse`, the gate of :func:`pathsim.simulate`: an
+    SVD only where the LU residual certificate cannot clear ``p``, and
+    :class:`SingularMatrixError` when :func:`numkit.singular` gates it."""
     P = as_square(p, "p")
-    s = np.linalg.svd(P, compute_uv=False)
-    if singular(s):
-        raise SingularMatrixError(f"conjugating matrix is singular: sigma_min={s[-1]:.3e}")
-    out = []
-    for b in mats:
-        out.append(np.linalg.solve(P, as_square_like(P, b, "family member") @ P))
-    return out
+    inv, gate = gated_inverse(P[None])
+    if gate[0]:
+        raise SingularMatrixError("conjugating matrix is singular")
+    return [inv[0] @ as_square_like(P, b, "family member") @ P for b in mats]
 
 
 def divergence_certified(a, z) -> bool:

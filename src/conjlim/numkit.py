@@ -2,13 +2,15 @@
 
 Matrices are plain ``numpy.ndarray`` objects with complex128 entries.  The
 one rank decision is :func:`svd_rank`, a relative cutoff on one full SVD
-from which every kernel, image and rank is read; subspaces are always stored
-with orthonormal bases so that equality and containment reduce to projector
-norm tests, and the matrix norm is the operator 2-norm throughout.
+from which every kernel, image and rank is read; the one matrix inverse is
+:func:`lu_inverse`, with its residual certificate; subspaces are always
+stored with orthonormal bases so that equality reduces to a projector norm
+test, and the matrix norm is the operator 2-norm throughout.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass
 
@@ -17,7 +19,6 @@ import numpy as np
 __all__ = [
     "ConjlimError",
     "InvalidInputError",
-    "NotPSDError",
     "Tolerance",
     "DEFAULT_TOL",
     "as_matrix",
@@ -30,7 +31,7 @@ __all__ = [
     "rank_of",
     "SINGULAR_REL",
     "singular",
-    "inverse_norm_bound",
+    "lu_inverse",
     "gated_inverse",
     "Subspace",
     "kernel_basis",
@@ -38,7 +39,6 @@ __all__ = [
     "orthonormal_complement",
     "subspace_equal",
     "subspace_intersection",
-    "psd_sqrt",
     "ginibre",
     "random_unitary",
     "random_singular",
@@ -59,10 +59,6 @@ class InvalidInputError(ConjlimError, ValueError):
     """An input violates a precondition (shape, finiteness, range)."""
 
 
-class NotPSDError(ConjlimError):
-    """Matrix is not Hermitian positive semidefinite within tolerance."""
-
-
 @dataclass(frozen=True)
 class Tolerance:
     """Numerical policy shared by all rank and residual decisions.
@@ -79,14 +75,6 @@ class Tolerance:
 
     rank_rel: float = 1e-10
     residual_abs: float = 1e-10
-
-    def __post_init__(self):
-        if not (0.0 < self.rank_rel < 1.0):
-            raise InvalidInputError(f"rank_rel must be in (0, 1), got {self.rank_rel}")
-        if self.residual_abs <= 0.0:
-            raise InvalidInputError(
-                f"residual_abs must be positive, got {self.residual_abs}"
-            )
 
     def residual_scale(self, *norms: float) -> float:
         """Residual threshold ``residual_abs * max(1, prod(norms))``."""
@@ -171,22 +159,35 @@ def singular(s: np.ndarray):
     return s[..., -1] <= SINGULAR_REL * np.maximum(1.0, s[..., 0])
 
 
-def inverse_norm_bound(us: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    """Residual certificate of computed inverses ``inv`` of a stack ``us``:
-    per matrix, an upper bound on ``||U^{-1}||_2``, or ``inf`` where ``X``
-    cannot be certified.
+def lu_inverse(us: np.ndarray):
+    """LU inverses ``X`` of a stack ``us`` of square matrices, shape ``(k, n,
+    n)``, and their residual certificate, as ``(inv, bound)``.
 
-    With ``R = U X - I``, a matrix where ``||R||_F <= 1/2`` has
-    ``||U^{-1}||_2 <= ||X||_2 / (1 - ||R||_2) <= 2 ||X||_F``, which is
-    returned there; with ``sigma_max(U) <= ||U||_F``, ``2 ||U||_F ||X||_F``
-    then bounds the condition number ``sigma_max / sigma_min``.  This is the
-    a-posteriori residual bound for a computed inverse (Higham, *Accuracy
-    and Stability of Numerical Algorithms*, 2nd ed., ch. 14).  A NaN or inf
-    anywhere in ``X`` leaves its matrix uncertified.
+    One batched ``np.linalg.inv``; when an exactly singular matrix fails the
+    batch, the others are inverted one by one and it reads NaN.  This is the
+    package's one matrix inverse.
+
+    ``bound`` is, per matrix, an upper bound on ``||U^{-1}||_2``, or ``inf``
+    where ``X`` cannot be certified.  With ``R = U X - I``, a matrix where
+    ``||R||_F <= 1/2`` has ``||U^{-1}||_2 <= ||X||_2 / (1 - ||R||_2) <= 2
+    ||X||_F``, which is returned there; with ``sigma_max(U) <= ||U||_F``,
+    ``2 ||U||_F ||X||_F`` then bounds the condition number ``sigma_max /
+    sigma_min``.  This is the a-posteriori residual bound for a computed
+    inverse (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
+    ed., ch. 14).  A NaN or inf anywhere in ``X`` leaves its matrix
+    uncertified.
     """
+    try:
+        inv = np.linalg.inv(us)
+    except np.linalg.LinAlgError:
+        inv = np.full(us.shape, np.nan, dtype=np.complex128)
+        for k, u in enumerate(us):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                inv[k] = np.linalg.inv(u)
     residual = us @ inv
     residual -= np.eye(us.shape[-1])
-    return np.where(_frobenius_sq(residual) <= 0.25, 2.0 * np.sqrt(_frobenius_sq(inv)), np.inf)
+    bound = np.where(_frobenius_sq(residual) <= 0.25, 2.0 * np.sqrt(_frobenius_sq(inv)), np.inf)
+    return inv, bound
 
 
 def _frobenius_sq(ms: np.ndarray) -> np.ndarray:
@@ -200,34 +201,26 @@ def gated_inverse(us: np.ndarray):
     """Inverses of a stack ``us`` of square matrices, shape ``(k, n, n)``,
     and the :func:`singular` gate on each, as ``(inv, gate)``.
 
-    One batched LU inverse ``X`` serves both.  Where
-    :func:`inverse_norm_bound` certifies ``||U^{-1}||_2 <= b`` and ``5 *
-    SINGULAR_REL * b * max(1, ||U||_F) < 1``, ``sigma_min(U) >= 5 *
-    SINGULAR_REL * max(1, sigma_max(U))``, five times clear of the gate and
-    of the SVD's own rounding, and the gate reads False without an SVD.  The
-    rounding of the residual product there is at most ``n * eps * ||U||_F
-    ||X||_F < n * eps * 1e12``, under 4e-3 for n <= 16 and negligible
-    against 1/2.
+    The inverses ``X`` and their certificate come from :func:`lu_inverse`.
+    Where it certifies ``||U^{-1}||_2 <= b`` and ``5 * SINGULAR_REL * b *
+    max(1, ||U||_F) < 1``, ``sigma_min(U) >= 5 * SINGULAR_REL * max(1,
+    sigma_max(U))``, five times clear of the gate and of the SVD's own
+    rounding, and the gate reads False without an SVD.  The rounding of the
+    residual product there is at most ``n * eps * ||U||_F ||X||_F < n * eps
+    * 1e12``, under 4e-3 for n <= 16 and negligible against 1/2.
 
-    Every other point, and every point when the LU fails, is gated by
-    :func:`singular` on its singular values, exactly as without the
-    certificate.  If the LU failed and the gate fires nowhere, its
-    ``LinAlgError`` is raised; if it failed and the gate fires, ``inv`` is
-    None.
+    Every other point, among them each one whose LU failed and whose ``X``
+    reads NaN, is gated by :func:`singular` on its singular values, exactly
+    as without the certificate.  If an LU failed and the gate fires nowhere,
+    ``LinAlgError`` is raised.
     """
-    try:
-        inv = np.linalg.inv(us)
-    except np.linalg.LinAlgError as err:
-        inv, failure = None, err
-        unsure = np.ones(us.shape[0], dtype=bool)
-    else:
-        fro_u = np.sqrt(_frobenius_sq(us))
-        unsure = ~(5.0 * SINGULAR_REL * inverse_norm_bound(us, inv) * np.maximum(1.0, fro_u) < 1.0)
+    inv, bound = lu_inverse(us)
+    unsure = ~(5.0 * SINGULAR_REL * bound * np.maximum(1.0, np.sqrt(_frobenius_sq(us))) < 1.0)
     gate = np.zeros(us.shape[0], dtype=bool)
     if unsure.any():
         gate[unsure] = singular(np.linalg.svd(us[unsure], compute_uv=False))
-    if inv is None and not gate.any():
-        raise failure
+        if not gate.any() and np.isnan(inv[unsure]).any():
+            raise np.linalg.LinAlgError("Singular matrix")
     return inv, gate
 
 
@@ -285,13 +278,6 @@ class Subspace:
         """Orthogonal projector onto the subspace."""
         return self.basis @ self.basis.conj().T
 
-    def contains(self, v) -> bool:
-        x = as_vector(v)
-        if x.size != self.ambient_dim:
-            raise InvalidInputError("vector dimension does not match ambient dimension")
-        res = x - self.projector() @ x
-        return float(np.linalg.norm(res)) <= DEFAULT_TOL.residual_scale(np.linalg.norm(x))
-
     @staticmethod
     def from_span(vectors) -> "Subspace":
         """Orthonormalize the columns of ``vectors`` (rank-revealing)."""
@@ -348,25 +334,6 @@ def subspace_intersection(s1: Subspace, s2: Subspace) -> Subspace:
     eye = np.eye(n)
     stacked = np.vstack([eye - s1.projector(), eye - s2.projector()])
     return kernel_basis(stacked)
-
-
-def psd_sqrt(m) -> np.ndarray:
-    """Hermitian PSD square root of a Hermitian PSD matrix.
-
-    Raises :class:`NotPSDError` when the input is materially non-Hermitian or
-    has a negative eigenvalue beyond tolerance.
-    """
-    a = as_square(m)
-    norm = operator_norm(a)
-    if operator_norm(a - a.conj().T) > DEFAULT_TOL.residual_scale(norm):
-        raise NotPSDError("matrix is not Hermitian within tolerance")
-    h = 0.5 * (a + a.conj().T)
-    w, v = np.linalg.eigh(h)
-    if w.size and float(w[0]) < -DEFAULT_TOL.residual_scale(norm):
-        raise NotPSDError(f"matrix has negative eigenvalue {w[0]:.3e}")
-    w = np.clip(w, 0.0, None)
-    root = (v * np.sqrt(w)) @ v.conj().T
-    return 0.5 * (root + root.conj().T)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ polynomial-path boundedness test via adjugate/determinant degrees.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +23,8 @@ from .numkit import (
     as_vector,
     gated_inverse,
     ginibre,
-    inverse_norm_bound,
     kernel_basis,
+    lu_inverse,
     operator_norm,
     poly_eval,
     singular,
@@ -211,8 +210,9 @@ def simulate(
     The whole grid is evaluated as one ``(count, n, n)`` stack: one path
     evaluation, one batched LU inverse that gives both the conjugates
     ``(U A) U^{-1}`` and the singularity gate
-    (:func:`~conjlim.numkit.gated_inverse`, which takes singular values only
-    of the points its residual certificate cannot clear), one modifier
+    (:func:`~conjlim.numkit.gated_inverse`, which reads
+    :func:`~conjlim.numkit.lu_inverse` and takes singular values only of the
+    points its residual certificate cannot clear), one modifier
     application, none for the identity, whose image is the checked
     conjugate, and one batched norm.
 
@@ -558,19 +558,6 @@ def preserves_filtration(a, filtration: Filtration):
 # ---------------------------------------------------------------------------
 # Exact polynomial-path test.
 
-def _lu_inverses(us: np.ndarray) -> np.ndarray:
-    """Batched LU inverses of a stack; when an exactly singular matrix fails
-    the batch, the others are inverted one by one and it reads NaN."""
-    try:
-        return np.linalg.inv(us)
-    except np.linalg.LinAlgError:
-        out = np.full(us.shape, np.nan, dtype=np.complex128)
-        for k, u in enumerate(us):
-            with contextlib.suppress(np.linalg.LinAlgError):
-                out[k] = np.linalg.inv(u)
-        return out
-
-
 def _cond_max(n: int) -> float:
     """Largest certified condition number at which ``det(U) U^{-1}`` stands
     in for the adjugate of an n x n matrix.
@@ -588,8 +575,9 @@ def _batched_adjugate(us: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """Adjugates of a stack of square matrices, their determinants and the
     noise factors of those determinants.
 
-    One batched LU inverse ``X`` is certified by
-    :func:`~conjlim.numkit.inverse_norm_bound`: where the certified condition
+    The LU inverses ``X`` and their certificate ``bound >= ||U^{-1}||_2``
+    come from :func:`~conjlim.numkit.lu_inverse`, where an exactly singular
+    matrix reads NaN and is not certified: where the certified condition
     number ``kappa = ||U||_F * bound >= sigma_1 / sigma_n`` is at most
     :func:`_cond_max`, the adjugate is ``det(U) X`` with ``det(U)`` from an
     LU, and the noise factor is ``|det U| kappa``, an upper bound of
@@ -605,10 +593,10 @@ def _batched_adjugate(us: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     accurate where U is singular or nearly so.
     """
     n = us.shape[-1]
-    inv = _lu_inverses(us)
+    inv, bound = lu_inverse(us)
     with np.errstate(invalid="ignore"):
         # a zero matrix has no certified inverse: inf * 0 reads NaN, not cleared
-        kappa = inverse_norm_bound(us, inv) * np.linalg.norm(us, axis=(-2, -1))
+        kappa = bound * np.linalg.norm(us, axis=(-2, -1))
     cleared = kappa <= _cond_max(n)
     dets = np.linalg.det(us)
     adj = dets[:, None, None] * inv

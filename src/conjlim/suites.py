@@ -14,7 +14,8 @@ import numpy as np
 
 from . import criteria, goodpath, modifier, pathsim
 from .numkit import (
-    ConjlimError, InvalidInputError, ginibre, operator_norm, poly_eval, random_singular
+    ConjlimError, InvalidInputError, ginibre, lu_inverse, operator_norm, poly_eval,
+    random_singular,
 )
 
 __all__ = ["SuiteCase", "SuiteReport", "UnknownSuiteError", "run_suite", "SUITE_IDS"]
@@ -517,7 +518,7 @@ def _suite_appendix_a(seed: int, config: dict | None) -> list[SuiteCase]:
     gp = goodpath.construct_good_path(z, order=2)
     member = _member_of_kernel_algebra(z, rng)
     us = poly_eval(gp.base, gp.path_coeffs, np.geomspace(1e-1, 1e-5, 9))
-    bounded = modifier.conjugation_family_bound(us @ member @ np.linalg.inv(us))
+    bounded = modifier.conjugation_family_bound(us @ member @ lu_inverse(us)[0])
     member_ok = bounded.ok and not bounded.vacuous
 
     return [

@@ -1,7 +1,8 @@
 """Static checks on the package source, with the standard library only:
 no module imports a name it never uses, every name listed in a module's
 ``__all__`` exists, every function reads each of its parameters, ranks are
-cut and singular matrices gated in ``numkit`` only, every threshold reads
+cut, singular matrices gated and matrices inverted in ``numkit`` only,
+determinants taken in ``pathsim._batched_adjugate`` only, every threshold reads
 the one ``numkit.DEFAULT_TOL``, and the package imports
 exactly the dependencies ``pyproject.toml`` declares."""
 
@@ -150,8 +151,8 @@ def test_operator_norm_is_the_only_2_norm():
     assert not found, f"use numkit.operator_norm in place of np.linalg.norm(., 2): {found}"
 
 
-def det_call_lines(tree: ast.Module, skip: str | None = None) -> list:
-    """Lines of ``<...>linalg.det(...)`` calls outside the function ``skip``."""
+def linalg_call_lines(tree: ast.Module, attr: str, skip: str | None = None) -> list:
+    """Lines of ``<...>linalg.<attr>(...)`` calls outside the function ``skip``."""
     allowed = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.FunctionDef) and node.name == skip:
@@ -161,24 +162,38 @@ def det_call_lines(tree: ast.Module, skip: str | None = None) -> list:
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "det"
+        and node.func.attr == attr
         and ast.unparse(node.func.value).endswith("linalg")
         and id(node) not in allowed
     ]
 
 
 def test_det_is_taken_once():
-    # the SVD adjugate gives every determinant the exact path test needs, so
-    # its unit phase is the only one an LU is taken for
+    # _batched_adjugate gives every determinant the exact path test needs:
+    # one batched det of its samples, and the unit phase of Stewart's SVD
+    # adjugate at the samples its LU certificate does not clear
     found = [
         f"{path.name}:{line}"
         for path in SOURCES
-        for line in det_call_lines(
+        for line in linalg_call_lines(
             ast.parse(path.read_text(encoding="utf-8")),
+            "det",
             "_batched_adjugate" if path.name == "pathsim.py" else None,
         )
     ]
     assert not found, f"take determinants in pathsim._batched_adjugate only: {found}"
+
+
+def test_one_lu_inverse():
+    # numkit.lu_inverse is the one inverse, so every caller gets its
+    # per-matrix fallback and its residual certificate; solve has no home
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        skip = "lu_inverse" if path.name == "numkit.py" else None
+        lines = linalg_call_lines(tree, "inv", skip) + linalg_call_lines(tree, "solve")
+        found += [f"{path.name}:{line}" for line in lines]
+    assert not found, f"invert with numkit.lu_inverse only: {found}"
 
 
 def rank_cut_lines(tree: ast.Module) -> list:
