@@ -104,7 +104,11 @@ def keeps_kernel_invariant(a, z) -> MembershipVerdict:
     The witness on failure is the first kernel basis vector x with ``ZAx != 0``.
     """
     A, Z = _pair(a, z)
-    _, s, vh, r = svd_rank(Z)
+    return _kernel_verdict(A, Z, *svd_rank(Z)[1:])
+
+
+def _kernel_verdict(A: np.ndarray, Z: np.ndarray, s, vh, r) -> MembershipVerdict:
+    """:func:`keeps_kernel_invariant` on ``s, vh, r`` of ``svd_rank(Z)``."""
     threshold = DEFAULT_TOL.residual_scale(float(s[0]) * operator_norm(A))
     if r == Z.shape[0]:
         return MembershipVerdict(True, 0.0, None, threshold)

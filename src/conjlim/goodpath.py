@@ -30,6 +30,7 @@ from .numkit import (
     matrix_to_json,
     operator_norm,
     poly_eval,
+    pole_block_inverse,
     subspace_equal,
     subspace_intersection,
     svd_rank,
@@ -48,10 +49,6 @@ __all__ = [
     "dual_path",
     "rigidity_index",
 ]
-
-#: Relative least-squares residual above which coefficient matching is
-#: declared infeasible (the inverse has a pole of order >= 2).
-LAURENT_REJECT_REL = 1e-6
 
 #: Relative residual of the inverse identity above which validate() fails.
 VALIDATE_RESIDUAL_REL = 1e-8
@@ -282,26 +279,24 @@ def construct_good_path(z, order: int = 8) -> GoodPath:
 
 
 def laurent_inverse(z, coeffs, order: int = 8):
-    """Solve for the Laurent coefficients of ``P(t)^{-1}``, with
-    ``P(t) = Z + sum t^k E_k``, under the pole-order-one ansatz.
+    """Laurent coefficients ``(pole, [C_0, ..., C_N])`` of ``P(t)^{-1}``, with
+    ``P(t) = Z + sum t^k E_k``, when its pole has order <= 1.
 
-    Then ``D(t) = t P(t)^{-1} = sum_j D_j t^j`` is analytic, with
-    ``D_0 = C_{-1}`` and ``D_{j+1} = C_j``.  Matching the powers
-    ``t^0..t^{N+2}`` of ``P(t) D(t) = t I`` gives one block lower-triangular
-    Toeplitz system in ``D_0..D_{N+2}``, solved by a single least-squares
-    call with the columns of I as right-hand sides (Avrachenkov, Haviv &
-    Howlett, SIAM J. Matrix Anal. Appl. 22(4), 2001).  ``D_0..D_{N+1}`` are
-    unique: a homogeneous solution X has ``P X = O(t^{N+3})``, hence
-    ``X = O(t^{N+2})``.  A pole of order >= 2 makes the system inconsistent:
-    a residual of this (N+3)n-row system above :data:`LAURENT_REJECT_REL`
-    times ``max(1, ||rhs|| + ||system||_F ||D||)`` raises
-    :class:`NotAGoodPathError`.  Returns ``(pole, [C_0, ..., C_N])``.
+    The path is first gated at t = 1e-2, 1e-3 and 1e-4 by the gate of
+    :func:`~conjlim.pathsim.simulate`, :func:`~conjlim.numkit.gated_inverse`;
+    a path singular at one raises :class:`InvalidPathError` naming it.
 
-    The path is first gated at t = 1e-2, 1e-3 and 1e-4 by
-    :func:`~conjlim.numkit.gated_inverse`, the gate of
-    :func:`~conjlim.pathsim.simulate`, so only a point its LU residual
-    certificate cannot clear takes singular values; a path singular at one
-    of them raises :class:`InvalidPathError` naming the first such t.
+    With ``Z = U diag(Sigma_r, 0) V^H`` from :func:`~conjlim.numkit.svd_rank`,
+    K = V[:, r:] and L = U[:, r:], the pole order is <= 1 exactly when ``S_1 =
+    L^H E_1 K`` is invertible (Avrachenkov, Filar & Howlett, *Analytic
+    Perturbation Theory and Its Applications*, SIAM 2013, ch. 2-3); an S_1
+    that :func:`~conjlim.numkit.pole_block_inverse` does not clear raises
+    :class:`NotAGoodPathError`.  ``D(t) = t P(t)^{-1}``, with ``D_0 = K
+    S_1^{-1} L^H`` the pole and ``D_{j+1} = C_j``, then follows from ``P D =
+    tI`` by forward substitution in Z's SVD coordinates: the top r rows of
+    ``V^H D_j U`` are ``Sigma_r^{-1}`` times the top rows of equation j, the
+    bottom k rows ``S_1^{-1}`` times the bottom rows of equation j + 1.  That
+    is ``D_j = B_j + sum_m T_m D_{j-m}``, ``B_j = 0`` for j >= 2.
     """
     Z = as_square(z, "Z")
     n = Z.shape[0]
@@ -318,25 +313,30 @@ def laurent_inverse(z, coeffs, order: int = 8):
         t = _SAMPLE_TS[int(np.argmax(gate))]
         raise InvalidPathError(f"path is singular at sampled t = {t}")
 
-    blocks = order + 3  # D_0 .. D_{order+2}
-    system = np.zeros((blocks * n, blocks * n), dtype=np.complex128)
-    for k, pk in enumerate([Z, *es]):
-        for j in range(blocks - k):
-            system[(j + k) * n : (j + k + 1) * n, j * n : (j + 1) * n] = pk
-    rhs = np.zeros((blocks * n, n), dtype=np.complex128)
-    rhs[n : 2 * n] = np.eye(n)
-
-    solution, *_ = np.linalg.lstsq(system, rhs, rcond=None)
-    defect = float(np.linalg.norm(system @ solution - rhs))
-    scale = float(np.linalg.norm(rhs)) + float(
-        np.linalg.norm(system, "fro") * np.linalg.norm(solution)
-    )
-    if defect > LAURENT_REJECT_REL * max(1.0, scale):
+    es = es or [np.zeros_like(Z)]
+    u, s, vh, r = svd_rank(Z)
+    s1_inv, ratio, cut = pole_block_inverse(u, vh, r, es[0])
+    if s1_inv is None:
         raise NotAGoodPathError(
-            f"no inverse with pole order <= 1: relative residual {defect / max(1.0, scale):.3e}"
+            f"no inverse with pole order <= 1: sigma_min(S_1)/||E_1||_F = {ratio:.3e} "
+            f"is at or under the cut {cut:.1e}"
         )
-    mats = solution.reshape(blocks, n, n)
-    return mats[0], list(mats[1 : order + 2])
+    # x = V W^{-1}: W has the rows of U^H Z V over im Z, then of U^H E_1 V
+    uh = u.conj().T
+    k_s1 = vh[r:].conj().T @ s1_inv
+    im_part = vh[:r].conj().T / s[:r]
+    x = np.hstack([im_part - k_s1 @ (uh[r:] @ es[0] @ im_part), k_s1])
+    # T_1..T_p side by side, T_m = -x [U_r^H E_m; L^H E_{m+1}]
+    rows = uh @ np.hstack([*es, np.zeros_like(Z)])
+    steps = -x @ np.vstack([rows[:r, :-n], rows[r:, n:]])
+    # latest first: block b holds D_{blocks-1-b}, then p zero blocks
+    blocks, p = order + 2, len(es)
+    d = np.zeros(((blocks + p) * n, n), dtype=np.complex128)
+    d[(blocks - 2) * n : blocks * n] = np.vstack([x[:, :r] @ uh[:r], k_s1 @ uh[r:]])
+    for b in range(blocks - 1, -1, -1):
+        d[b * n : (b + 1) * n] += steps @ d[(b + 1) * n : (b + 1 + p) * n]
+    mats = d[: blocks * n].reshape(blocks, n, n)[::-1]
+    return mats[0], list(mats[1:])
 
 
 def is_pole_coefficient(c, z) -> bool:

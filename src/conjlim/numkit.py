@@ -28,6 +28,7 @@ __all__ = [
     "operator_norm",
     "poly_eval",
     "svd_rank",
+    "pole_block_inverse",
     "rank_of",
     "SINGULAR_REL",
     "singular",
@@ -232,6 +233,27 @@ def svd_rank(m):
     u, s, vh = np.linalg.svd(as_matrix(m))
     r = int(np.count_nonzero(s > DEFAULT_TOL.rank_rel * s[0])) if s[0] > 0.0 else 0
     return u, s, vh, r
+
+
+def pole_block_inverse(u, vh, r, e1):
+    """``(inverse, ratio, cut)`` for ``S_1 = u[:, r:]^H E_1 vh[r:]^H``, the k x
+    k block of E_1 from ker Z to ker Z^H, on the SVD of Z from
+    :func:`svd_rank`.  Along ``Z + sum t^k E_k`` the pole order is <= 1
+    exactly when S_1 is invertible.  ``ratio = sigma_min(S_1) / ||E_1||_F``,
+    ``cut = DEFAULT_TOL.rank_rel``, and ``inverse = S_1^{-1}``, or None where
+    ``ratio <= cut``: the cut is relative to ``||E_1||``, not to
+    ``sigma_max(S_1)``, so an S_1 that vanishes up to rounding is not
+    cleared.  An invertible Z (k = 0) gives the 0 x 0 inverse and ratio inf.
+    """
+    cut = DEFAULT_TOL.rank_rel
+    if r == u.shape[0]:
+        return np.zeros((0, 0), dtype=np.complex128), np.inf, cut
+    w, s, xh = np.linalg.svd(u[:, r:].conj().T @ e1 @ vh[r:].conj().T)
+    scale = float(np.sqrt(_frobenius_sq(e1)))
+    ratio = float(s[-1]) / scale if scale > 0.0 else 0.0
+    if not ratio > cut:
+        return None, ratio, cut
+    return (xh.conj().T / s) @ w.conj().T, ratio, cut
 
 
 def rank_of(m) -> int:

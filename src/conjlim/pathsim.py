@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import MembershipVerdict, _invariance_verdict, _pair
+from .criteria import MembershipVerdict, _invariance_verdict, _kernel_verdict, _pair
 from .goodpath import GoodPath, InvalidPathError
 from .modifier import Modifier, apply
 from .numkit import (
@@ -27,8 +27,10 @@ from .numkit import (
     lu_inverse,
     operator_norm,
     poly_eval,
+    pole_block_inverse,
     singular,
     subspace_intersection,
+    svd_rank,
 )
 
 __all__ = [
@@ -682,13 +684,23 @@ def polynomial_path_bounded(z, coeffs, a) -> bool:
     """Exact boundedness of ``||U(t) A U(t)^{-1}||`` as t -> 0 along the
     polynomial path ``U(t) = Z + sum t^k E_k``.
 
-    Since ``U^{-1} = adj(U)/det(U)``, the conjugate is bounded iff the lowest
-    nonzero t-degree of ``U(t) A adj(U(t))`` is at least that of
-    ``det(U(t))``; both degrees come from :func:`polynomial_growth_degrees`.
-    Raises :class:`~conjlim.goodpath.InvalidPathError` for identically
-    singular paths.
+    Where Z is invertible or :func:`~conjlim.numkit.pole_block_inverse`
+    clears ``S_1 = L^H E_1 K``, ``U^{-1} = K S_1^{-1} L^H / t + O(1)``, so it
+    is bounded iff ``Z A K = 0``, the verdict of
+    :func:`~conjlim.criteria.keeps_kernel_invariant` on the same SVD of Z.
+    Elsewhere (higher poles, identically singular paths, S_1 under the cut)
+    it is bounded iff the lowest nonzero t-degree of ``U(t) A adj(U(t))`` is
+    at least that of ``det(U(t))``, both from
+    :func:`polynomial_growth_degrees`.  Raises
+    :class:`~conjlim.goodpath.InvalidPathError` for identically singular paths.
     """
-    prod_deg, det_deg = polynomial_growth_degrees(z, coeffs, a)
+    Z = as_square(z, "Z")
+    A = as_square_like(Z, a, "A")
+    es = [as_square_like(Z, e, "path coefficient") for e in coeffs]
+    u, s, vh, r = svd_rank(Z)
+    if r == Z.shape[0] or (es and pole_block_inverse(u, vh, r, es[0])[0] is not None):
+        return _kernel_verdict(A, Z, s, vh, r).member
+    prod_deg, det_deg = polynomial_growth_degrees(Z, es, A)
     if det_deg is None:
         raise InvalidPathError("path determinant vanishes identically")
     if prod_deg is None:

@@ -37,6 +37,50 @@ def poly_matmul(p, q):
     return out
 
 
+def toeplitz_laurent(z, coeffs, order):
+    """Oracle for :func:`laurent_inverse`: ``D_0..D_{N+1}`` of ``D(t) = t
+    P(t)^{-1}`` from one least-squares solve of the block lower-triangular
+    Toeplitz system that matches the powers ``t^0..t^{N+2}`` of ``P D = tI``."""
+    n = z.shape[0]
+    blocks = order + 3
+    system = np.zeros((blocks * n, blocks * n), dtype=complex)
+    for k, pk in enumerate([z, *coeffs]):
+        for j in range(blocks - k):
+            system[(j + k) * n : (j + k + 1) * n, j * n : (j + 1) * n] = pk
+    rhs = np.zeros((blocks * n, n), dtype=complex)
+    rhs[n : 2 * n] = np.eye(n)
+    mats = np.linalg.lstsq(system, rhs, rcond=None)[0].reshape(blocks, n, n)
+    return mats[0], list(mats[1 : order + 2])
+
+
+def simple_pole_path(n, rank, degree, rng, block=0.0):
+    """``Z + sum t^k E_k`` with Z of the given rank, singular values in [0.5,
+    2], and Ginibre E_k, so that S_1 = L^H E_1 K is almost surely invertible;
+    ``block > 0`` scales the E_k by 1/4 and adds ``block`` times a unitary
+    to S_1, which keeps ``sigma_min(S_1) >= block - 1/2`` about."""
+    q, w = random_unitary(n, rng), random_unitary(n, rng)
+    sigma = np.zeros(n)
+    sigma[:rank] = rng.uniform(0.5, 2.0, rank)
+    es = [ginibre(n, rng=rng) / (np.sqrt(n) * (4.0 if block else 1.0)) for _ in range(degree)]
+    k = n - rank
+    if block and k:
+        es[0] = es[0] + block * q[:, rank:] @ random_unitary(k, rng) @ w[rank:]
+    return (q * sigma) @ w, es
+
+
+def nonzero_root_radius(z, es):
+    """Smallest modulus of a nonzero root of ``det(Z + sum t^k E_k)``: the
+    eigenvalues of the block companion matrix of the monic ``E_p^{-1}
+    P(t)``, with the k roots at 0 (rounding level) left out; inf if none."""
+    n, p = z.shape[0], len(es)
+    monic = [np.linalg.inv(es[-1]) @ m for m in (z, *es[:-1])]
+    companion = np.zeros((n * p, n * p), dtype=complex)
+    companion[n:, :-n] = np.eye(n * (p - 1))
+    companion[:, -n:] = -np.vstack(monic)
+    roots = np.abs(np.linalg.eigvals(companion))
+    return float(roots[roots > 1e-8 * roots.max()].min(initial=np.inf))
+
+
 class TestPolarFactors:
     def test_unitary_input(self):
         q = random_unitary(4, np.random.default_rng(0))
@@ -211,14 +255,20 @@ class TestLaurentInverse:
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_weak_second_order_pole_near_the_rejection_threshold(self, n):
-        # (d J + tI)^{-1} = I/t - d J/t^2: the relative residual of the
-        # simple-pole fit is of order d, against LAURENT_REJECT_REL = 1e-6
+        # (d J + tI)^{-1} = I/t - d J/t^2 is a double pole for every d != 0:
+        # S_1 = L^H I K vanishes whatever d, so no scale of d is accepted
         nil = np.zeros((n, n), dtype=complex)
         nil[0, n - 1] = 1.0
-        with pytest.raises(NotAGoodPathError):
-            laurent_inverse(1e-4 * nil, [np.eye(n)], order=3)
-        pole, _ = laurent_inverse(1e-8 * nil, [np.eye(n)], order=3)
-        assert np.linalg.norm(pole - np.eye(n), 2) < 1e-6
+        for d in (1e-4, 1e-8, 1e-12):
+            with pytest.raises(NotAGoodPathError, match="sigma_min"):
+                laurent_inverse(d * nil, [np.eye(n)], order=3)
+        # d J + t c I: the reparametrisation t -> c t leaves the double pole
+        for d, c in [(1.0, 1.0), (1e-4, 1.0), (1e-4, 1e4), (1.0, 1e6)]:
+            with pytest.raises(NotAGoodPathError):
+                laurent_inverse(d * nil, [c * np.eye(n)], order=3)
+        # the sample gate reads nil + 1e-10 I as singular at t = 1e-4
+        with pytest.raises(InvalidPathError):
+            laurent_inverse(nil, [1e-6 * np.eye(n)], order=3)
 
     @pytest.mark.parametrize("left_degree, right_degree", [(1, 0), (1, 1)])
     def test_simple_pole_paths_of_higher_degree(self, left_degree, right_degree):
@@ -252,6 +302,74 @@ class TestLaurentInverse:
         expected = t * np.linalg.inv(value)
         got = pole + sum(t ** (j + 1) * c for j, c in enumerate(series))
         assert np.linalg.norm(got - expected, 2) < 1e-8 * found.coefficient_scale()
+
+
+class TestForwardSubstitution:
+    """``laurent_inverse`` against ``t P(t)^{-1}`` at small t and against the
+    block-Toeplitz least-squares oracle, at every rank of Z."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_every_rank_and_degree_against_the_toeplitz_oracle(self, n):
+        # S_1 is kept well conditioned, so the coefficients grow slowly and
+        # the least-squares oracle keeps every one of them
+        rng = np.random.default_rng(100 + n)
+        for rank in range(n + 1):
+            for degree in (1, 2, 3):
+                z, es = simple_pole_path(n, rank, degree, rng, block=2.0)
+                order = (rank + 3 * degree) % 9
+                pole, series = laurent_inverse(z, es, order=order)
+                assert len(series) == order + 1
+                if rank == n:
+                    assert not pole.any()
+                want = toeplitz_laurent(z, es, order)
+                scale = max(operator_norm(c) for c in [want[0], *want[1]])
+                for got, ref in zip([pole, *series], [want[0], *want[1]], strict=True):
+                    assert operator_norm(got - ref) <= 1e-12 * scale
+                # truncation t^{order+2} ||D_{order+2}||, rounding cond(P(t)) eps
+                t = 1e-6
+                value = z + sum(t ** (k + 1) * e for k, e in enumerate(es))
+                got = pole + sum(t ** (j + 1) * c for j, c in enumerate(series))
+                assert operator_norm(got - t * np.linalg.inv(value)) <= 1e-8 * scale
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_generic_paths_match_the_inverse(self, n):
+        # Ginibre E_k: sigma_min(S_1) is often small and the coefficients
+        # grow like R^{-j}, R the nearest nonzero root of det P; at t = R /
+        # 100 the truncation after order 8 is (1/100)^10 of the sum
+        rng = np.random.default_rng(200 + n)
+        for rank in range(n + 1):
+            for degree in (1, 2, 3):
+                z, es = simple_pole_path(n, rank, degree, rng)
+                pole, series = laurent_inverse(z, es, order=8)
+                t = 1e-2 * min(1.0, nonzero_root_radius(z, es))
+                value = z + sum(t ** (k + 1) * e for k, e in enumerate(es))
+                want = t * np.linalg.inv(value)
+                got = pole + sum(t ** (j + 1) * c for j, c in enumerate(series))
+                assert operator_norm(got - want) <= 1e-9 * operator_norm(want)
+
+    @pytest.mark.parametrize("d", [3e-1, 3e-2, 3e-3])
+    def test_fast_growing_series_in_closed_form(self, d):
+        # P(t) = [[1, t], [-t, t d]] has S_1 = d and t P(t)^{-1} = [[t d,
+        # -t], [t, 1]] / (d + t), so D_j = g_j diag(0, 1) + g_{j-1} [[d, -1],
+        # [1, 0]] with g_j = (-1)^j d^{-j-1}: sixteen to twenty-one decades
+        # between D_0 and D_9, all of which must come out
+        z = diag(1.0, 0.0)
+        e = np.array([[0.0, 1.0], [-1.0, d]], dtype=complex)
+        pole, series = laurent_inverse(z, [e], order=8)
+        g = [(-1) ** j * d ** -(j + 1) for j in range(10)]
+        for j, got in enumerate([pole, *series]):
+            want = g[j] * diag(0.0, 1.0)
+            if j:
+                want = want + g[j - 1] * np.array([[d, -1.0], [1.0, 0.0]])
+            assert operator_norm(got - want) <= 1e-14 * operator_norm(want)
+
+    def test_rejection_names_the_margin_and_the_cut(self):
+        # S_1 = 0 for [[1, t], [t, 0]]: its ratio to ||E_1||_F reads 0
+        z = diag(1.0, 0.0)
+        e = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        margin = r"sigma_min\(S_1\)/\|\|E_1\|\|_F = 0\.000e\+00 .* cut 1\.0e-10"
+        with pytest.raises(NotAGoodPathError, match=margin):
+            laurent_inverse(z, [e], order=2)
 
 
 class TestPoleCoefficientPredicate:

@@ -2,9 +2,9 @@
 no module imports a name it never uses, every name listed in a module's
 ``__all__`` exists, every function reads each of its parameters, ranks are
 cut, singular matrices gated and matrices inverted in ``numkit`` only,
-determinants taken in ``pathsim._batched_adjugate`` only, every threshold reads
-the one ``numkit.DEFAULT_TOL``, and the package imports
-exactly the dependencies ``pyproject.toml`` declares."""
+determinants taken in ``pathsim._batched_adjugate`` only, no least-squares
+solve anywhere, every threshold reads the one ``numkit.DEFAULT_TOL``, and the
+package imports exactly the dependencies ``pyproject.toml`` declares."""
 
 import ast
 import importlib
@@ -194,6 +194,17 @@ def test_one_lu_inverse():
         lines = linalg_call_lines(tree, "inv", skip) + linalg_call_lines(tree, "solve")
         found += [f"{path.name}:{line}" for line in lines]
     assert not found, f"invert with numkit.lu_inverse only: {found}"
+
+
+def test_no_least_squares():
+    # the Laurent inverse is a forward substitution on one SVD of Z and one
+    # k x k block, so no least-squares solve is left in the package
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        for line in linalg_call_lines(ast.parse(path.read_text(encoding="utf-8")), "lstsq")
+    ]
+    assert not found, f"no np.linalg.lstsq in the package: {found}"
 
 
 def rank_cut_lines(tree: ast.Module) -> list:

@@ -378,7 +378,8 @@ class TestSingularityGate:
         assert np.array_equal(stacks[0], path.values([1e-4]))
 
     def test_laurent_gate_svd_takes_only_the_point_the_lu_cannot_clear(self, monkeypatch):
-        # the sample points of laurent_inverse are the grid above
+        # the sample points of laurent_inverse are the grid above; after the
+        # gate come one SVD of Z and one of the 1 x 1 block S_1 = L^H E K
         z, e = diag(1.0, 0.0), diag(0.0, 2e-9)
         stacks = []
         svd = np.linalg.svd
@@ -389,8 +390,10 @@ class TestSingularityGate:
 
         monkeypatch.setattr(np.linalg, "svd", recording)
         laurent_inverse(z, [e], order=2)
-        assert [s.shape for s in stacks] == [(1, 2, 2)]
+        assert [s.shape for s in stacks] == [(1, 2, 2), (2, 2), (1, 1)]
         assert np.array_equal(stacks[0], MatrixPath.linear(z, e).values([1e-4]))
+        assert np.array_equal(stacks[1], z)
+        assert abs(stacks[2][0, 0]) == pytest.approx(2e-9)
 
     def test_laurent_inverse_survives_an_lu_failure_the_gate_clears(self, monkeypatch):
         def failing(a):
@@ -748,6 +751,45 @@ class TestPolynomialPathBounded:
                 assert got[1] is None
             else:
                 assert got == want
+
+    def test_kernel_verdict_matches_the_degrees_on_simple_pole_paths(self):
+        # where S_1 = L^H E_1 K clears its cut (or Z is invertible) the
+        # verdict is the kernel criterion, read without the degree test;
+        # generic paths of every rank must get the verdict of the degrees
+        rng = np.random.default_rng(31)
+        fast = 0
+        for n in range(2, 9):
+            for rank in range(n + 1):
+                for degree in (1, 2, 3):
+                    for i in range(16):
+                        z = random_singular(n, rank, rng)
+                        coeffs = [ginibre(n, rng=rng) for _ in range(degree)]
+                        a = random_member(z, rng) if i % 2 else ginibre(n, rng=rng)
+                        u, _, vh, r = numkit.svd_rank(z)
+                        s1_inv = numkit.pole_block_inverse(u, vh, r, coeffs[0])[0]
+                        fast += s1_inv is not None
+                        prod_deg, det_deg = polynomial_growth_degrees(z, coeffs, a)
+                        want = prod_deg is None or prod_deg >= det_deg
+                        assert polynomial_path_bounded(z, coeffs, a) is want
+        assert fast >= 2000
+
+    def test_kernel_verdict_is_invariant_under_scaling_the_path(self):
+        # s Z + sum (c t)^k E_k keeps the kernels of Z and scales the pole
+        # block S_1 by c, so it has a simple pole with the kernel verdict of
+        # (A, Z) at every s and c; ||Z|| ||A|| = 1e3 keeps s ||Z|| ||A|| >= 1
+        # and the max(1, .) floor of the threshold unbound
+        rng = np.random.default_rng(37)
+        for i in range(40):
+            n = int(rng.integers(2, 7))
+            z = random_singular(n, int(rng.integers(1, n)), rng)
+            coeffs = [ginibre(n, rng=rng) for _ in range(1 + i % 3)]
+            a = random_member(z, rng) if i % 2 else ginibre(n, rng=rng)
+            a = a * 1e3 / (operator_norm(a) * operator_norm(z))
+            want = keeps_kernel_invariant(a, z).member
+            for scale in (1e-3, 1.0, 1e3):
+                for c in (1e-3, 1.0, 1e3):
+                    es = [c ** (k + 1) * e for k, e in enumerate(coeffs)]
+                    assert polynomial_path_bounded(scale * z, es, a) is want
 
     def test_agrees_with_simulation(self):
         rng = np.random.default_rng(6)
