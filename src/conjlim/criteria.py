@@ -12,11 +12,15 @@ invertibles converging to Z keeps ``U A U^{-1}`` bounded; its failure
 certifies divergence along every such path.  ``ZAC`` is exactly the pole term
 of the conjugate along a path with inverse ``C/t + O(1)``, which is why the
 annihilator tests are named after it.
+
+Each test exists once: the image and ``CAZ`` tests are the kernel and
+``ZAC`` tests on adjoints, and the kernel test measures its defect on
+orthonormal bases of Z, so no verdict read from it moves when Z is scaled.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,6 +32,7 @@ from .numkit import (
     as_square_like,
     gated_inverse,
     kernel_basis,
+    matrix_to_json,
     operator_norm,
     orthonormal_complement,
     svd_rank,
@@ -71,8 +76,6 @@ class MembershipVerdict:
     threshold: float = 0.0
 
     def to_json(self) -> dict:
-        from .numkit import matrix_to_json
-
         out = {"member": self.member, "residual": self.residual, "threshold": self.threshold}
         if self.witness is not None:
             w = np.atleast_2d(np.asarray(self.witness, dtype=np.complex128))
@@ -95,61 +98,39 @@ def _invariance_verdict(defect: np.ndarray, columns: np.ndarray, threshold: floa
     return MembershipVerdict(False, residual, columns[:, j].copy(), threshold)
 
 
+def _adjoint_witness(v: MembershipVerdict) -> MembershipVerdict:
+    """A primal verdict on adjoints read as its dual: the witness mapped back by ``^H``."""
+    return v if v.witness is None else replace(v, witness=v.witness.conj().T)
+
+
 def keeps_kernel_invariant(a, z) -> MembershipVerdict:
     """Does ``A`` map ``ker(Z)`` into ``ker(Z)``?
 
-    Decided by the residual ``||Z A K||`` over an orthonormal kernel basis K,
-    at threshold ``residual_abs * max(1, ||Z|| ||A||)``, with ``K = vh[r:]^H``
-    and ``||Z|| = s[0]`` read off the one SVD of :func:`numkit.svd_rank`.
-    The witness on failure is the first kernel basis vector x with ``ZAx != 0``.
+    Decided by ``||V_r^H A K||`` on the orthonormal bases ``V_r^H = vh[:r]``
+    and ``K = vh[r:]^H`` of the one SVD of :func:`numkit.svd_rank`, at
+    ``residual_abs * max(1, ||A||)``: it vanishes iff ``Z A K`` does, and ker
+    Z alone decides it.  The witness on failure is the first kernel basis
+    vector x with ``Ax`` outside ker Z.
     """
     A, Z = _pair(a, z)
-    return _kernel_verdict(A, Z, *svd_rank(Z)[1:])
+    return _kernel_verdict(A, *svd_rank(Z)[2:])
 
 
-def _kernel_verdict(A: np.ndarray, Z: np.ndarray, s, vh, r) -> MembershipVerdict:
-    """:func:`keeps_kernel_invariant` on ``s, vh, r`` of ``svd_rank(Z)``."""
-    threshold = DEFAULT_TOL.residual_scale(float(s[0]) * operator_norm(A))
-    if r == Z.shape[0]:
+def _kernel_verdict(A: np.ndarray, vh, r) -> MembershipVerdict:
+    """:func:`keeps_kernel_invariant` on ``vh, r`` of ``svd_rank(Z)``."""
+    threshold = DEFAULT_TOL.residual_scale(operator_norm(A))
+    if r in (0, A.shape[0]):
         return MembershipVerdict(True, 0.0, None, threshold)
     ker = vh[r:].conj().T
-    return _invariance_verdict(Z @ A @ ker, ker, threshold)
+    return _invariance_verdict(vh[:r] @ A @ ker, ker, threshold)
 
 
 def keeps_image_invariant(a, z) -> MembershipVerdict:
-    """Does ``A`` map ``im(Z)`` into ``im(Z)``?
-
-    Decided by ``||L^H A B|| = ||(I - P) A B||``, with ``B = u[:, :r]`` and
-    ``L = u[:, r:]`` read off the one SVD of :func:`numkit.svd_rank` and P
-    the projector onto im Z.  The defect carries ``||A||`` but not ``||Z||``,
-    so its threshold is ``residual_abs * max(1, ||A||)``.
-    """
+    """Does ``A`` map ``im(Z)`` into ``im(Z)``?  As ``ker(Z^H) = im(Z)^perp``,
+    this is :func:`keeps_kernel_invariant` on ``(A^H, Z^H)``; the witness on
+    failure is a y in ``ker(Z^H)`` with ``y^H A Z != 0``."""
     A, Z = _pair(a, z)
-    u, _, _, r = svd_rank(Z)
-    threshold = DEFAULT_TOL.residual_scale(operator_norm(A))
-    n = Z.shape[0]
-    if r in (0, n):
-        return MembershipVerdict(True, 0.0, None, threshold)
-    return _invariance_verdict(u[:, r:].conj().T @ A @ u[:, :r], u[:, :r], threshold)
-
-
-def _pole_term(a, z, c, dual: bool) -> MembershipVerdict:
-    A, Z = _pair(a, z)
-    C = as_square_like(Z, c, "C")
-    norm_z, norm_c = operator_norm(Z), operator_norm(C)
-    scale = DEFAULT_TOL.residual_scale(norm_z * norm_c)
-    zc = operator_norm(Z @ C)
-    cz = operator_norm(C @ Z)
-    if zc > scale or cz > scale:
-        raise PoleConditionError(
-            f"companion matrix must satisfy ZC = CZ = 0; got ||ZC||={zc:.3e}, ||CZ||={cz:.3e}"
-        )
-    threshold = DEFAULT_TOL.residual_scale(norm_z * operator_norm(A) * norm_c)
-    product = C @ A @ Z if dual else Z @ A @ C
-    residual = operator_norm(product)
-    if residual <= threshold:
-        return MembershipVerdict(True, residual, None, threshold)
-    return MembershipVerdict(False, residual, product, threshold)
+    return keeps_kernel_invariant(A.conj().T, Z.conj().T)
 
 
 def pole_term_vanishes(a, z, c) -> MembershipVerdict:
@@ -158,12 +139,27 @@ def pole_term_vanishes(a, z, c) -> MembershipVerdict:
     Requires ``ZC = CZ = 0`` (raises :class:`PoleConditionError` otherwise).
     On failure the witness is the nonzero product ``ZAC``.
     """
-    return _pole_term(a, z, c, dual=False)
+    A, Z = _pair(a, z)
+    C = as_square_like(Z, c, "C")
+    norm_z, norm_c = operator_norm(Z), operator_norm(C)
+    gap = max(operator_norm(Z @ C), operator_norm(C @ Z))
+    if gap > DEFAULT_TOL.residual_scale(norm_z * norm_c):
+        raise PoleConditionError(
+            f"companion matrix must satisfy ZC = CZ = 0; got max(||ZC||, ||CZ||)={gap:.3e}"
+        )
+    threshold = DEFAULT_TOL.residual_scale(norm_z * operator_norm(A) * norm_c)
+    product = Z @ A @ C
+    residual = operator_norm(product)
+    member = residual <= threshold
+    return MembershipVerdict(member, residual, None if member else product, threshold)
 
 
 def pole_term_vanishes_dual(a, z, c) -> MembershipVerdict:
-    """Dual form: does ``C A Z`` vanish?  Same precondition as the primal."""
-    return _pole_term(a, z, c, dual=True)
+    """Dual form: does ``C A Z`` vanish?  :func:`pole_term_vanishes` on
+    ``(A^H, Z^H, C^H)``, with the witness mapped back to ``C A Z``."""
+    A, Z = _pair(a, z)
+    C = as_square_like(Z, c, "C")
+    return _adjoint_witness(pole_term_vanishes(A.conj().T, Z.conj().T, C.conj().T))
 
 
 def kernel_algebra_dim(n: int, m: int) -> int:

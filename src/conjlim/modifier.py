@@ -21,18 +21,19 @@ verdict is exact and deterministic.  For every other modifier the question
 is whether the linear solution space of ``X -> phi(Z A K X L^H) = 0``
 contains an invertible element, decided by seeded random sampling (a random
 element of a subspace containing an invertible one is invertible with
-probability 1).
+probability 1).  The dual question, for ``phi(U^{-1} A U)``, is the primal
+on ``(A^H, Z^H)`` under :meth:`Modifier.adjoint`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
-from .criteria import MembershipVerdict, _elementary, _pair
+from .criteria import MembershipVerdict, _adjoint_witness, _elementary, _kernel_verdict, _pair
 from .numkit import (
     DEFAULT_TOL,
     ConjlimError,
@@ -144,6 +145,24 @@ class Modifier:
     def __call__(self, a) -> np.ndarray:
         return apply(self, a)
 
+    def adjoint(self) -> "Modifier":
+        """``phi'(M) = phi(M^H)^H``: Hadamard by ``H^H``, or ``P conj(L) P``
+        with P the vec-transpose permutation; cached, with adjoint phi."""
+        return self._adjoint
+
+    @cached_property
+    def _adjoint(self) -> "Modifier":
+        if self.kind == "identity":
+            return self
+        n = self.dim
+        p = np.arange(n * n).reshape(n, n).T.reshape(-1)  # P vec(M) = vec(M^T)
+        data = self.data.conj().T if self.kind == "hadamard" else self.data.conj()[np.ix_(p, p)]
+        out = Modifier(self.kind, n, data)
+        # ||P conj(L) P|| = ||L||: no second n^2 x n^2 SVD for the general kind
+        object.__setattr__(out, "_norm_scale", self._norm_scale)
+        object.__setattr__(out, "_adjoint", self)
+        return out
+
     def norm_scale(self) -> float:
         """Operator-norm bound used when scaling residual thresholds."""
         return self._norm_scale
@@ -177,7 +196,28 @@ def apply(phi: Modifier, a) -> np.ndarray:
     return (vecs @ phi.data.T).reshape(lead + (n, n)).swapaxes(-1, -2)
 
 
-def _membership_existential(a, z, phi: Modifier, seed, dual: bool) -> MembershipVerdict:
+def some_path_bounded(a, z, phi: Modifier, *, seed) -> MembershipVerdict:
+    """Does some path of invertibles ``U -> Z`` keep ``phi(U A U^{-1})``
+    bounded?
+
+    Equivalent to the existence of a companion ``C = K X L^H`` (X invertible)
+    with ``phi(Z A C) = 0``.
+
+    * Faithful phi (identity, or Hadamard with every off-diagonal entry
+      nonzero): ``Z A C`` squares to zero because ``C Z = 0``, so
+      ``phi(Z A C) = 0`` iff ``Z A K = 0``.  The verdict, residual and
+      threshold are those of :func:`~conjlim.criteria.keeps_kernel_invariant`,
+      whatever the scale of Z or of phi; ``seed`` is unused and ``witness``
+      is the companion ``K L^H`` whatever the verdict.
+    * Any other phi: seeded draws from the solution space of
+      ``phi(Z A K X L^H) = 0``, at ``residual_abs * max(1, ||Z|| ||A||)``
+      times ``phi.norm_scale()``.  On success ``witness`` is the companion
+      found and ``residual`` is ``||phi(Z A C)||``; on failure ``witness``
+      is the most-invertible candidate sampled and ``residual`` its relative
+      invertibility margin, or 0 with a zero witness when the solution space
+      is trivial.  A false verdict is correct with probability 1 after
+      :data:`DEFAULT_DRAWS` samples; seeds make it reproducible.
+    """
     A, Z = _pair(a, z)
     n = Z.shape[0]
     if phi.dim != n:
@@ -186,40 +226,27 @@ def _membership_existential(a, z, phi: Modifier, seed, dual: bool) -> Membership
     # invertible, for orthonormal bases K of ker(Z) and L of ker(Z^H); one
     # SVD and one rank decision give both, so dim K = dim L
     u, s, vh, r = svd_rank(Z)
-    kb = vh[r:].conj().T
-    lb = u[:, r:]
-    k = kb.shape[1]
-    faithful = phi.kind != "general" and nilpotent_faithful(phi).faithful
-    # the threshold of criteria.keeps_kernel_invariant; the randomized route
-    # measures phi-images, whose size carries the size of phi
-    threshold = DEFAULT_TOL.residual_scale(float(s[0]) * operator_norm(A))
-    if not faithful:
-        threshold *= phi.norm_scale()
+    kb, lb, k = vh[r:].conj().T, u[:, r:], n - r
+    if phi.kind != "general" and nilpotent_faithful(phi).faithful:
+        # (Z A C)^2 = 0 since C Z = 0, and phi is nonzero on every nonzero
+        # square-zero matrix: phi(Z A K X L^H) = 0 iff Z A K = 0
+        return replace(_kernel_verdict(A, vh, r), witness=kb @ lb.conj().T)
+    # phi-images carry the size of phi
+    threshold = DEFAULT_TOL.residual_scale(float(s[0]) * operator_norm(A)) * phi.norm_scale()
     if k == 0:
         # invertible base point: C = 0 is the unique admissible companion
         return MembershipVerdict(True, 0.0, np.zeros((n, n), dtype=np.complex128), threshold)
 
-    if faithful:
-        # (Z A C)^2 = 0 since C Z = 0, and phi is nonzero on every nonzero
-        # square-zero matrix: phi(Z A K X L^H) = 0 iff Z A K = 0 (dually
-        # L^H A Z = 0), whatever the invertible X; the defect is not measured
-        # through phi, so the verdict does not depend on how phi is scaled
-        defect = lb.conj().T @ A @ Z if dual else Z @ A @ kb
-        residual = operator_norm(defect)
-        return MembershipVerdict(residual <= threshold, residual, kb @ lb.conj().T, threshold)
-
     # phi(left X right) = sum_ij X_ij phi(left[:, i] right[j, :]); image
     # j*k + i belongs to X_ij, its position in the column-stacked vec(X)
-    left, right = (kb, lb.conj().T @ A @ Z) if dual else (Z @ A @ kb, lb.conj().T)
+    left, right = Z @ A @ kb, lb.conj().T
     images = left.T[None, :, :, None] * right[:, None, None, :]
     constraint = apply(phi, images.reshape(k * k, n, n)).reshape(k * k, n * n).T
     _, s, vh = np.linalg.svd(constraint, full_matrices=False)
     null_vecs = vh[s <= threshold].conj().T  # (k^2, d)
     d = null_vecs.shape[1]
     if d == 0:
-        return MembershipVerdict(
-            False, 0.0, np.zeros((n, n), dtype=np.complex128), threshold
-        )
+        return MembershipVerdict(False, 0.0, np.zeros((n, n), dtype=np.complex128), threshold)
 
     rng = np.random.default_rng(seed)
     best_margin = -1.0
@@ -236,46 +263,19 @@ def _membership_existential(a, z, phi: Modifier, seed, dual: bool) -> Membership
             best_x = x
         if sv[-1] > INVERTIBILITY_REL * sv[0]:
             companion = kb @ x @ lb.conj().T
-            product = (companion @ A @ Z) if dual else (Z @ A @ companion)
-            residual = operator_norm(apply(phi, product))
+            residual = operator_norm(apply(phi, Z @ A @ companion))
             return MembershipVerdict(True, residual, companion, threshold)
     witness = kb @ best_x @ lb.conj().T if best_x is not None else np.zeros((n, n))
     return MembershipVerdict(False, best_margin, witness, threshold)
 
 
-def some_path_bounded(a, z, phi: Modifier, *, seed) -> MembershipVerdict:
-    """Does some path of invertibles ``U -> Z`` keep ``phi(U A U^{-1})``
-    bounded?
-
-    Equivalent to the existence of a companion ``C = K X L^H`` (X invertible)
-    with ``phi(Z A C) = 0``.
-
-    * Faithful phi (identity, or Hadamard with every off-diagonal entry
-      nonzero): ``Z A C`` squares to zero because ``C Z = 0``, so
-      ``phi(Z A C) = 0`` iff ``Z A K = 0``.  The verdict is exact and
-      deterministic and ``seed`` is unused.  ``residual`` is ``||Z A K||``,
-      the defect that had to vanish, and ``witness`` is the companion
-      ``K L^H`` whatever the verdict.  ``threshold`` is that of
-      :func:`~conjlim.criteria.keeps_kernel_invariant`,
-      ``residual_abs * max(1, ||Z|| ||A||)``, whatever the scale of phi.
-    * Any other phi: seeded draws from the solution space of
-      ``phi(Z A K X L^H) = 0``, at a threshold multiplied by
-      ``phi.norm_scale()``.  On success ``witness`` is the companion
-      found and ``residual`` is ``||phi(Z A C)||``; on failure ``witness``
-      is the most-invertible candidate sampled and ``residual`` its relative
-      invertibility margin, or 0 with a zero witness when the solution space
-      is trivial.  A false verdict is correct with probability 1 after
-      :data:`DEFAULT_DRAWS` samples; seeds make it reproducible.
-    """
-    return _membership_existential(a, z, phi, seed, dual=False)
-
-
 def some_path_bounded_dual(a, z, phi: Modifier, *, seed) -> MembershipVerdict:
-    """Mirror of :func:`some_path_bounded` for ``phi(U^{-1} A U)``, i.e.
-    existence of a companion with ``phi(C A Z) = 0``.  Under a faithful phi
-    it is exact, with ``residual = ||L^H A Z||``: A keeps ``im(Z)``
-    invariant."""
-    return _membership_existential(a, z, phi, seed, dual=True)
+    """Mirror of :func:`some_path_bounded` for ``phi(U^{-1} A U)``: is
+    ``phi(C A Z) = 0`` for some companion C?  As ``phi(C A Z)^H =
+    phi'(Z^H A^H C^H)``, it is :func:`some_path_bounded` on
+    ``(A^H, Z^H, phi.adjoint())``, with the witness mapped back by ``^H``."""
+    A, Z = _pair(a, z)
+    return _adjoint_witness(some_path_bounded(A.conj().T, Z.conj().T, phi.adjoint(), seed=seed))
 
 
 @dataclass(frozen=True)

@@ -687,7 +687,8 @@ def polynomial_path_bounded(z, coeffs, a) -> bool:
     Where Z is invertible or :func:`~conjlim.numkit.pole_block_inverse`
     clears ``S_1 = L^H E_1 K``, ``U^{-1} = K S_1^{-1} L^H / t + O(1)``, so it
     is bounded iff ``Z A K = 0``, the verdict of
-    :func:`~conjlim.criteria.keeps_kernel_invariant` on the same SVD of Z.
+    :func:`~conjlim.criteria.keeps_kernel_invariant` on the same SVD of Z,
+    which the scale of Z does not move.
     Elsewhere (higher poles, identically singular paths, S_1 under the cut)
     it is bounded iff the lowest nonzero t-degree of ``U(t) A adj(U(t))`` is
     at least that of ``det(U(t))``, both from
@@ -697,9 +698,9 @@ def polynomial_path_bounded(z, coeffs, a) -> bool:
     Z = as_square(z, "Z")
     A = as_square_like(Z, a, "A")
     es = [as_square_like(Z, e, "path coefficient") for e in coeffs]
-    u, s, vh, r = svd_rank(Z)
+    u, _, vh, r = svd_rank(Z)
     if r == Z.shape[0] or (es and pole_block_inverse(u, vh, r, es[0])[0] is not None):
-        return _kernel_verdict(A, Z, s, vh, r).member
+        return _kernel_verdict(A, vh, r).member
     prod_deg, det_deg = polynomial_growth_degrees(Z, es, A)
     if det_deg is None:
         raise InvalidPathError("path determinant vanishes identically")

@@ -9,7 +9,7 @@ import pytest
 
 from conjlim import cli, suites
 from conjlim.goodpath import construct_good_path
-from conjlim.numkit import ginibre, load_matrix, matrix_to_json, save_matrix
+from conjlim.numkit import ginibre, load_matrix, matrix_from_json, matrix_to_json, save_matrix
 
 
 @pytest.fixture
@@ -76,6 +76,23 @@ class TestCriteriaCommand:
         assert out["member"] is False
         assert "witness" in out
 
+    def test_sim_witness_is_a_cokernel_vector(self, tmp_path, capsys):
+        # the image test is the kernel test on adjoints: its witness is a y in
+        # ker Z^H with y^H A Z != 0, here e_1, along which A moves e_0 off im Z
+        z = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        a = np.zeros((3, 3), dtype=complex)
+        a[1, 0] = 1.0
+        zp, ap = tmp_path / "z.json", tmp_path / "a.json"
+        save_matrix(zp, z)
+        save_matrix(ap, a)
+        assert run(["criteria", "--op", "sim", "--Z", zp, "--A", ap]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["member"] is False
+        y = matrix_from_json(out["witness"]).reshape(-1)
+        assert np.allclose(np.abs(y), [0.0, 1.0, 0.0], atol=1e-12)
+        assert np.linalg.norm(z.conj().T @ y) < 1e-12
+        assert np.linalg.norm(y.conj() @ a @ z) == pytest.approx(1.0)
+
     def test_dim(self, capsys):
         assert run(["criteria", "--op", "dim", "--n", 3, "--m", 1]) == 0
         assert json.loads(capsys.readouterr().out)["dim"] == 7
@@ -116,7 +133,8 @@ class TestModifierCommand:
         assert code == 0
         out = json.loads(capsys.readouterr().out)
         assert out["member"] is False
-        # Z A K = E_01 restricted to ker Z = span(e_1, e_2) has norm 1
+        # V_r^H A K, with V_r = e_0 and K spanning ker Z = span(e_1, e_2), is
+        # E_01 restricted there: norm 1
         assert out["residual"] == pytest.approx(1.0)
         assert out["residual"] > out["threshold"]
 

@@ -78,13 +78,14 @@ class TestImageInvariance:
 
     @pytest.mark.parametrize("s", [1e-12, 1.0, 1e10, 1e12])
     def test_verdict_free_of_the_scale_of_z(self, s):
-        # the defect ||(I - P) A B|| is measured on an orthonormal basis, so
-        # scaling Z must move neither it nor its threshold
+        # the kernel test on adjoints measures ||U_r^H A^H L|| on orthonormal
+        # bases, so scaling Z must move neither it nor its threshold, which
+        # reads ||A^H|| alone
         z = s * np.diag([1.0, 0.0])
         a = np.array([[1.0, 0.0], [1.0, 1.0]])
         verdict = keeps_image_invariant(a, z)
         assert not verdict.member
-        assert verdict.threshold == keeps_kernel_invariant(a, np.diag([0.0, 1.0])).threshold
+        assert verdict.threshold == keeps_kernel_invariant(a.conj().T, np.diag([0.0, 1.0])).threshold
         assert keeps_image_invariant(np.diag([5.0, 0.0]), z).member
 
     def test_matches_kernel_test_of_cokernel_projector(self):

@@ -3,7 +3,8 @@ no module imports a name it never uses, every name listed in a module's
 ``__all__`` exists, every function reads each of its parameters, ranks are
 cut, singular matrices gated and matrices inverted in ``numkit`` only,
 determinants taken in ``pathsim._batched_adjugate`` only, no least-squares
-solve anywhere, every threshold reads the one ``numkit.DEFAULT_TOL``, and the
+solve anywhere, every threshold reads the one ``numkit.DEFAULT_TOL``, no
+function takes a ``dual`` flag, and the
 package imports exactly the dependencies ``pyproject.toml`` declares."""
 
 import ast
@@ -301,6 +302,18 @@ def test_one_numerical_policy():
         )
     ]
     assert not found, f"read numkit.DEFAULT_TOL instead of taking a tolerance: {found}"
+
+
+def test_no_dual_flag():
+    # each dual test is its primal on adjoints, not a fork of it behind a flag
+    found = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        and "dual" in {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
+    ]
+    assert not found, f"functions take a dual flag: {found}"
 
 
 def imported_packages(tree: ast.Module) -> set:

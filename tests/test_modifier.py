@@ -20,6 +20,7 @@ from conjlim.modifier import (
 from conjlim.numkit import (
     InvalidInputError,
     ginibre,
+    image_basis,
     kernel_basis,
     operator_norm,
     random_singular,
@@ -187,18 +188,21 @@ class TestSomePathBounded:
                     assert residual <= verdict.threshold
 
     def test_theorem_route_reports_the_defect(self):
-        # the residual is ||Z A K|| (dually ||L^H A Z||) and the witness the
+        # the residual is ||V_r^H A K|| (dually ||L^H A U_r||), measured on
+        # orthonormal bases V_r of im Z^H and U_r of im Z, and the witness the
         # companion K L^H, whatever the verdict
         rng = np.random.default_rng(18)
         z = random_singular(5, 2, rng)
         kb = kernel_basis(z).basis
         lb = kernel_basis(z.conj().T).basis
+        rows = image_basis(z.conj().T).basis
+        cols = image_basis(z).basis
         phi = Modifier.delete_diagonal(5)
         for a in (random_member(z, rng), ginibre(5, rng=rng)):
             primal = some_path_bounded(a, z, phi, seed=0)
             dual = some_path_bounded_dual(a, z, phi, seed=0)
-            assert primal.residual == pytest.approx(np.linalg.norm(z @ a @ kb, 2))
-            assert dual.residual == pytest.approx(np.linalg.norm(lb.conj().T @ a @ z, 2))
+            assert primal.residual == pytest.approx(np.linalg.norm(rows.conj().T @ a @ kb, 2))
+            assert dual.residual == pytest.approx(np.linalg.norm(lb.conj().T @ a @ cols, 2))
             for verdict in (primal, dual):
                 assert verdict.member == (verdict.residual <= verdict.threshold)
                 # K L^H for some orthonormal K, L: C C^H and C^H C are the
@@ -351,6 +355,63 @@ class TestSomePathBoundedDual:
         rng = np.random.default_rng(9)
         for s in range(20):
             assert some_path_bounded_dual(ginibre(3, rng=rng), z, phi, seed=s).member
+
+
+class TestAdjoint:
+    @staticmethod
+    def modifiers(n, rng):
+        """Identity, complex Hadamard (faithful and not) and complex general."""
+        blind = ginibre(n, rng=rng)
+        blind[0, 1] = 0.0
+        return [
+            Modifier.identity(n),
+            Modifier.hadamard(ginibre(n, rng=rng)),
+            Modifier.hadamard(blind),
+            Modifier.general(ginibre(n * n, rng=rng)),
+        ]
+
+    def test_is_phi_on_adjoints(self):
+        # phi'(M) = phi(M^H)^H, so phi(C A Z) = 0 iff phi'(Z^H A^H C^H) = 0
+        rng = np.random.default_rng(31)
+        for n in (2, 3, 5):
+            for phi in self.modifiers(n, rng):
+                for _ in range(3):
+                    m = ginibre(n, rng=rng)
+                    expected = apply(phi, m.conj().T).conj().T
+                    assert np.allclose(apply(phi.adjoint(), m), expected, rtol=0, atol=1e-12)
+
+    def test_kinds_and_data(self):
+        rng = np.random.default_rng(32)
+        identity, hadamard, _, general = self.modifiers(3, rng)
+        assert identity.adjoint() is identity
+        assert hadamard.adjoint().kind == "hadamard"
+        assert np.array_equal(hadamard.adjoint().data, hadamard.data.conj().T)
+        assert general.adjoint().kind == "general"
+
+    def test_twice_gives_phi_back(self):
+        rng = np.random.default_rng(33)
+        for phi in self.modifiers(4, rng):
+            twice = phi.adjoint().adjoint()
+            assert twice is phi
+            fresh = Modifier(phi.kind, phi.dim, phi.adjoint().data).adjoint()
+            if phi.kind != "identity":
+                assert np.array_equal(fresh.data, phi.data)
+
+    def test_preserves_faithfulness_and_norm_scale(self):
+        rng = np.random.default_rng(34)
+        n = 4
+        cases = self.modifiers(n, rng) + [
+            as_general(Modifier.delete_diagonal(n)),
+            as_general(Modifier.hadamard(unit(n, 0, 2))),
+        ]
+        for phi in cases:
+            report, dual = nilpotent_faithful(phi, seed=1), nilpotent_faithful(phi.adjoint(), seed=1)
+            assert dual.faithful == report.faithful
+            assert dual.exact == report.exact
+            assert phi.adjoint().norm_scale() == pytest.approx(phi.norm_scale(), rel=1e-12)
+        assert [nilpotent_faithful(phi).faithful for phi in cases] == [
+            True, True, False, True, True, False
+        ]
 
 
 class TestNilpotentFaithful:
@@ -533,7 +594,8 @@ class TestConjugationFamilyBound:
 
 class TestModifierValidation:
     def test_general_norm_scale_is_computed_once(self, monkeypatch):
-        # the n^2 x n^2 SVD behind norm_scale is cached on the frozen modifier
+        # the n^2 x n^2 SVD behind norm_scale is cached on the frozen modifier,
+        # and shared with its adjoint
         n = 6
         big = 0
         svd = np.linalg.svd
@@ -550,6 +612,8 @@ class TestModifierValidation:
         z = random_singular(n, 2, rng)
         for seed in range(2):
             some_path_bounded(ginibre(n, rng=rng), z, phi, seed=seed)
+            # the dual runs on phi.adjoint(), which carries the norm scale over
+            some_path_bounded_dual(ginibre(n, rng=rng), z, phi, seed=seed)
         assert big == 1
 
     def test_data_is_a_read_only_copy(self):

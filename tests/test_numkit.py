@@ -312,8 +312,9 @@ class TestSvdCounts:
     """Each public criterion reads its bases and ``||Z||`` off one SVD of Z
     (n = 6, rank 3); the pole test also splits C once, the pole-term test
     takes each norm once, and conjugating by a well-conditioned matrix takes
-    none, since the LU certificate clears it.  ``==`` pins an exact count,
-    ``<=`` a ceiling."""
+    none, since the LU certificate clears it.  Each dual takes the count of
+    its primal: the adjoint of a general map carries its norm scale over.
+    ``==`` pins an exact count, ``<=`` a ceiling."""
 
     N = 6
     J = modifier.Modifier.delete_diagonal(N)
@@ -326,10 +327,34 @@ class TestSvdCounts:
         "conjugate_family": (
             lambda a, z, c: criteria.conjugate_family([z], np.eye(len(a)) + 0.1 * a), 0, 1
         ),
+        "pole_term_vanishes_dual": (
+            lambda a, z, c: criteria.pole_term_vanishes_dual(a, z, c), 6, 1
+        ),
         "some_path_bounded": (
             lambda a, z, c: modifier.some_path_bounded(a, z, TestSvdCounts.J, seed=0), 3, 1
         ),
+        "some_path_bounded_dual": (
+            lambda a, z, c: modifier.some_path_bounded_dual(a, z, TestSvdCounts.J, seed=0), 3, 1
+        ),
+        # a fresh general map: its n^2 x n^2 norm scale, then the constraint
+        "some_path_bounded[general]": (
+            lambda a, z, c: modifier.some_path_bounded(a, z, TestSvdCounts.general(), seed=0),
+            4,
+            1,
+        ),
+        "some_path_bounded_dual[general]": (
+            lambda a, z, c: modifier.some_path_bounded_dual(
+                a, z, TestSvdCounts.general(), seed=0
+            ),
+            4,
+            1,
+        ),
     }
+
+    @staticmethod
+    def general() -> "modifier.Modifier":
+        """The delete-diagonal map written as a general one."""
+        return modifier.Modifier.general(np.diag(TestSvdCounts.J.data.reshape(-1, order="F")))
 
     @staticmethod
     def count_svds(monkeypatch) -> list:

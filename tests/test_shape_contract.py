@@ -85,3 +85,24 @@ def test_mismatched_matrix_is_rejected(entry, bad):
     call(good)
     with pytest.raises(InvalidInputError):
         call(MISMATCHED[bad])
+
+
+#: (the operand's name, call with that operand open) for each dual test
+DUAL_SLOTS = {
+    "keeps_image_invariant[A]": ("A", lambda m: keeps_image_invariant(m, Z)),
+    "keeps_image_invariant[Z]": ("Z", lambda m: keeps_image_invariant(A, m)),
+    "pole_term_vanishes_dual[A]": ("A", lambda m: pole_term_vanishes_dual(m, Z, C)),
+    "pole_term_vanishes_dual[Z]": ("Z", lambda m: pole_term_vanishes_dual(A, m, C)),
+    "pole_term_vanishes_dual[C]": ("C", lambda m: pole_term_vanishes_dual(A, Z, m)),
+    "some_path_bounded_dual[A]": ("A", lambda m: some_path_bounded_dual(m, Z, PHI, seed=0)),
+    "some_path_bounded_dual[Z]": ("Z", lambda m: some_path_bounded_dual(A, m, PHI, seed=0)),
+}
+
+
+@pytest.mark.parametrize("entry", list(DUAL_SLOTS), ids=list(DUAL_SLOTS))
+def test_dual_names_the_operand_as_given(entry):
+    # each dual validates its inputs before it runs its primal on adjoints,
+    # so the error names the caller's matrix and shape, not the adjoint's
+    name, call = DUAL_SLOTS[entry]
+    with pytest.raises(InvalidInputError, match=rf"^{name} must be square, got shape \(3, 2\)$"):
+        call(MISMATCHED["non-square"])
