@@ -10,7 +10,6 @@ certificates.
 
 from .numkit import (
     ConjlimError,
-    DEFAULT_TOL,
     InvalidInputError,
     Subspace,
     ginibre,
@@ -23,7 +22,6 @@ from .numkit import (
     orthonormal_complement,
     random_singular,
     random_unitary,
-    rank_of,
     save_matrix,
     subspace_equal,
     subspace_intersection,
@@ -31,8 +29,6 @@ from .numkit import (
 from .criteria import (
     MembershipVerdict,
     PoleConditionError,
-    SingularMatrixError,
-    conjugate_family,
     divergence_certified,
     keeps_image_invariant,
     keeps_kernel_invariant,
@@ -83,7 +79,6 @@ from .pathsim import (
     polynomial_growth_degrees,
     polynomial_path_bounded,
     preserves_filtration,
-    rank_one_probe,
     simulate,
 )
 from .suites import SUITE_IDS, SuiteCase, SuiteReport, UnknownSuiteError, run_suite

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: ``criteria``, ``goodpath``, ``modifier``, ``simulate``,
-``suite``, ``convert``.  All matrix I/O uses the JSON schema
+``suite``.  All matrix I/O uses the one JSON schema
 ``{"rows": r, "cols": c, "data": [[re, im], ...]}`` (row-major); good paths
-and reports are emitted as JSON documents.  ``--seed`` is mandatory for every
+and reports, the (t, norm) samples of ``simulate`` among them, are emitted as
+JSON documents.  ``--seed`` is mandatory for every
 randomized operation so runs are reproducible.
 
 Exit codes: 0 on success, 2 for input or usage errors, 1 for unexpected
@@ -14,7 +15,6 @@ failures; a failing suite exits with ``10 + index`` of the suite id in
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
@@ -31,7 +31,7 @@ from .numkit import (
     read_field,
 )
 
-__all__ = ["main", "convert"]
+__all__ = ["main"]
 
 
 def _emit(obj: dict, out: str | None) -> None:
@@ -198,12 +198,6 @@ def _cmd_simulate(args) -> int:
     phi = _load_modifier(args.phi, a.shape[0])
     grid = _parse_grid(args.grid) if args.grid else None
     report = pathsim.simulate(path, a, phi, grid=grid)
-    if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "norm"])
-            for t, v in zip(report.t_values, report.norms):
-                writer.writerow([repr(float(t)), repr(float(v))])
     _emit(report.to_json(), args.out)
     return 0
 
@@ -219,69 +213,6 @@ def _cmd_suite(args) -> int:
     if report.passed:
         return 0
     return 10 + suites.SUITE_IDS.index(report.suite_id)
-
-
-# ---------------------------------------------------------------------------
-# conversion between the matrix JSON schema and CSV
-
-def _matrix_to_csv(m: np.ndarray, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        for row in m:
-            writer.writerow([repr(complex(z)) for z in row])
-
-
-def _matrix_from_csv(path: str) -> np.ndarray:
-    rows: list[list[complex]] = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            parsed = []
-            for col, cell in enumerate(row, start=1):
-                try:
-                    parsed.append(complex(cell.strip()))
-                except ValueError as exc:
-                    raise InvalidInputError(
-                        f"CSV parse error at line {lineno}, column {col}: {cell!r}"
-                    ) from exc
-            rows.append(parsed)
-    if not rows:
-        raise InvalidInputError("CSV file contains no matrix rows")
-    width = len(rows[0])
-    for lineno, r in enumerate(rows, start=1):
-        if len(r) != width:
-            raise InvalidInputError(f"CSV row {lineno} has {len(r)} cells, expected {width}")
-    return np.array(rows, dtype=np.complex128)
-
-
-def convert(src: str, dst: str, to: str | None = None) -> None:
-    """Lossless matrix conversion between the JSON schema and CSV.
-
-    The direction is inferred from the destination extension unless ``to``
-    names the target format explicitly.  Round trips reproduce every entry
-    exactly (decimal shortest-repr text).
-    """
-    target = (to or dst.rsplit(".", 1)[-1]).lower()
-    if target == "csv":
-        try:
-            m = load_matrix(src)
-        except json.JSONDecodeError as exc:
-            raise InvalidInputError(
-                f"JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
-        _matrix_to_csv(m, dst)
-    elif target == "json":
-        m = _matrix_from_csv(src)
-        with open(dst, "w", encoding="utf-8") as fh:
-            json.dump(matrix_to_json(m), fh)
-    else:
-        raise InvalidInputError(f"unknown conversion target {target!r} (use json or csv)")
-
-
-def _cmd_convert(args) -> int:
-    convert(args.infile, args.outfile, args.to)
-    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -327,7 +258,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--A", required=True)
     p.add_argument("--phi", default="id")
     p.add_argument("--grid", help="tmin:tmax:count (default 1e-6:1e-1:26)")
-    p.add_argument("--csv", help="also write a (t, norm) CSV table here")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_simulate)
 
@@ -337,12 +267,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON object overriding suite parameters")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_suite)
-
-    p = sub.add_parser("convert", help="convert matrices between JSON and CSV")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", dest="outfile", required=True)
-    p.add_argument("--to", choices=["json", "csv"], help="override target format")
-    p.set_defaults(func=_cmd_convert)
 
     return parser
 

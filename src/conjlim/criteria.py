@@ -25,40 +25,33 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .numkit import (
-    DEFAULT_TOL,
     ConjlimError,
     InvalidInputError,
     as_square,
     as_square_like,
-    gated_inverse,
     kernel_basis,
     matrix_to_json,
     operator_norm,
     orthonormal_complement,
+    residual_scale,
     svd_rank,
 )
 
 __all__ = [
     "MembershipVerdict",
     "PoleConditionError",
-    "SingularMatrixError",
     "keeps_kernel_invariant",
     "keeps_image_invariant",
     "pole_term_vanishes",
     "pole_term_vanishes_dual",
     "kernel_algebra_dim",
     "kernel_algebra_basis",
-    "conjugate_family",
     "divergence_certified",
 ]
 
 
 class PoleConditionError(ConjlimError):
     """The companion matrix does not satisfy ``ZC = CZ = 0``."""
-
-
-class SingularMatrixError(ConjlimError):
-    """A matrix required to be invertible is singular within tolerance."""
 
 
 @dataclass(frozen=True)
@@ -92,8 +85,10 @@ def _invariance_verdict(defect: np.ndarray, columns: np.ndarray, threshold: floa
     residual = operator_norm(defect)
     if residual <= threshold:
         return MembershipVerdict(True, residual, None, threshold)
-    col_norms = np.linalg.norm(defect, axis=0)
-    above = np.nonzero(col_norms > threshold)[0]
+    # columns of defect / residual: squaring those of a defect near the
+    # float64 range would overflow
+    col_norms = np.linalg.norm(defect / residual, axis=0)
+    above = np.nonzero(col_norms > threshold / residual)[0]
     j = int(above[0]) if above.size else int(np.argmax(col_norms))
     return MembershipVerdict(False, residual, columns[:, j].copy(), threshold)
 
@@ -108,7 +103,7 @@ def keeps_kernel_invariant(a, z) -> MembershipVerdict:
 
     Decided by ``||V_r^H A K||`` on the orthonormal bases ``V_r^H = vh[:r]``
     and ``K = vh[r:]^H`` of the one SVD of :func:`numkit.svd_rank`, at
-    ``residual_abs * max(1, ||A||)``: it vanishes iff ``Z A K`` does, and ker
+    ``residual_scale(||A||)``: it vanishes iff ``Z A K`` does, and ker
     Z alone decides it.  The witness on failure is the first kernel basis
     vector x with ``Ax`` outside ker Z.
     """
@@ -118,7 +113,7 @@ def keeps_kernel_invariant(a, z) -> MembershipVerdict:
 
 def _kernel_verdict(A: np.ndarray, vh, r) -> MembershipVerdict:
     """:func:`keeps_kernel_invariant` on ``vh, r`` of ``svd_rank(Z)``."""
-    threshold = DEFAULT_TOL.residual_scale(operator_norm(A))
+    threshold = residual_scale(operator_norm(A))
     if r in (0, A.shape[0]):
         return MembershipVerdict(True, 0.0, None, threshold)
     ker = vh[r:].conj().T
@@ -143,11 +138,11 @@ def pole_term_vanishes(a, z, c) -> MembershipVerdict:
     C = as_square_like(Z, c, "C")
     norm_z, norm_c = operator_norm(Z), operator_norm(C)
     gap = max(operator_norm(Z @ C), operator_norm(C @ Z))
-    if gap > DEFAULT_TOL.residual_scale(norm_z * norm_c):
+    if gap > residual_scale(norm_z * norm_c):
         raise PoleConditionError(
             f"companion matrix must satisfy ZC = CZ = 0; got max(||ZC||, ||CZ||)={gap:.3e}"
         )
-    threshold = DEFAULT_TOL.residual_scale(norm_z * operator_norm(A) * norm_c)
+    threshold = residual_scale(norm_z * operator_norm(A) * norm_c)
     product = Z @ A @ C
     residual = operator_norm(product)
     member = residual <= threshold
@@ -205,18 +200,6 @@ def kernel_algebra_basis(z) -> list[np.ndarray]:
                 continue
             basis.append(np.outer(q[:, i], q[:, j].conj()))
     return basis
-
-
-def conjugate_family(mats, p) -> list[np.ndarray]:
-    """``[p^{-1} B p for B in mats]``, with ``p^{-1}`` from
-    :func:`numkit.gated_inverse`, the gate of :func:`pathsim.simulate`: an
-    SVD only where the LU residual certificate cannot clear ``p``, and
-    :class:`SingularMatrixError` when :func:`numkit.singular` gates it."""
-    P = as_square(p, "p")
-    inv, gate = gated_inverse(P[None])
-    if gate[0]:
-        raise SingularMatrixError("conjugating matrix is singular")
-    return [inv[0] @ as_square_like(P, b, "family member") @ P for b in mats]
 
 
 def divergence_certified(a, z) -> bool:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numkit import (
-    DEFAULT_TOL,
     ConjlimError,
     InvalidInputError,
     Subspace,
@@ -31,6 +30,7 @@ from .numkit import (
     operator_norm,
     poly_eval,
     pole_block_inverse,
+    residual_scale,
     subspace_equal,
     subspace_intersection,
     svd_rank,
@@ -130,9 +130,7 @@ class GoodPath:
 
     @property
     def has_pole(self) -> bool:
-        return operator_norm(self.inverse_pole) > DEFAULT_TOL.residual_scale(
-            operator_norm(self.base)
-        )
+        return operator_norm(self.inverse_pole) > residual_scale(operator_norm(self.base))
 
     def at(self, t: float) -> np.ndarray:
         """Path value ``base + sum_k t^k E_k``."""
@@ -193,7 +191,7 @@ class GoodPath:
         """Raise :class:`NotAGoodPathError` unless every coefficient residual
         is below :data:`VALIDATE_RESIDUAL_REL` scaled by the coefficient
         norms and the pole annihilates the base within
-        ``DEFAULT_TOL.residual_scale(||base|| * coefficient_scale())``.
+        ``residual_scale(||base|| * coefficient_scale())``.
 
         The residuals cannot see an error in the last series coefficient
         ``C_N`` along directions X with ``ZX = XZ = 0``: ``C_N`` enters only
@@ -207,7 +205,7 @@ class GoodPath:
                 f"{VALIDATE_RESIDUAL_REL:.1e} * {scale:.3e}"
             )
         ann = self.annihilation_residual()
-        if ann > DEFAULT_TOL.residual_scale(operator_norm(self.base) * scale):
+        if ann > residual_scale(operator_norm(self.base) * scale):
             raise NotAGoodPathError(f"pole does not annihilate the base: {ann:.3e}")
 
     def to_json(self) -> dict:
@@ -390,7 +388,7 @@ def rigidity_index(e0, coeffs) -> int:
         kn = kernel_basis(e)
         if subspace_intersection(k0, kn).dim == 0:
             return idx
-        contained = operator_norm(e @ k0.basis) <= DEFAULT_TOL.residual_scale(operator_norm(e))
+        contained = operator_norm(e @ k0.basis) <= residual_scale(operator_norm(e))
         if not contained:
             raise RigidityViolationError(
                 f"ker(E_0) meets ker(E_{idx}) without being contained in it"

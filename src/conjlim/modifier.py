@@ -35,7 +35,6 @@ import numpy as np
 
 from .criteria import MembershipVerdict, _adjoint_witness, _elementary, _kernel_verdict, _pair
 from .numkit import (
-    DEFAULT_TOL,
     ConjlimError,
     InvalidInputError,
     as_square,
@@ -44,6 +43,7 @@ from .numkit import (
     ginibre,
     operator_norm,
     random_unitary,
+    residual_scale,
     svd_rank,
 )
 
@@ -210,7 +210,7 @@ def some_path_bounded(a, z, phi: Modifier, *, seed) -> MembershipVerdict:
       whatever the scale of Z or of phi; ``seed`` is unused and ``witness``
       is the companion ``K L^H`` whatever the verdict.
     * Any other phi: seeded draws from the solution space of
-      ``phi(Z A K X L^H) = 0``, at ``residual_abs * max(1, ||Z|| ||A||)``
+      ``phi(Z A K X L^H) = 0``, at ``residual_scale(||Z|| ||A||)``
       times ``phi.norm_scale()``.  On success ``witness`` is the companion
       found and ``residual`` is ``||phi(Z A C)||``; on failure ``witness``
       is the most-invertible candidate sampled and ``residual`` its relative
@@ -232,7 +232,7 @@ def some_path_bounded(a, z, phi: Modifier, *, seed) -> MembershipVerdict:
         # square-zero matrix: phi(Z A K X L^H) = 0 iff Z A K = 0
         return replace(_kernel_verdict(A, vh, r), witness=kb @ lb.conj().T)
     # phi-images carry the size of phi
-    threshold = DEFAULT_TOL.residual_scale(float(s[0]) * operator_norm(A)) * phi.norm_scale()
+    threshold = residual_scale(float(s[0]) * operator_norm(A)) * phi.norm_scale()
     if k == 0:
         # invertible base point: C = 0 is the unique admissible companion
         return MembershipVerdict(True, 0.0, np.zeros((n, n), dtype=np.complex128), threshold)
@@ -333,7 +333,7 @@ def nilpotent_faithful_randomized(
         tn = operator_norm(t)
         if tn <= 0.0:
             return False
-        return operator_norm(apply(phi, t)) <= DEFAULT_TOL.residual_scale(scale * tn)
+        return operator_norm(apply(phi, t)) <= residual_scale(scale * tn)
 
     for i in range(n):
         for j in range(n):

@@ -1,7 +1,9 @@
 """Dense complex linear algebra shared by every other module.
 
 Matrices are plain ``numpy.ndarray`` objects with complex128 entries.  The
-one rank decision is :func:`svd_rank`, a relative cutoff on one full SVD
+numerical policy is held in module constants: :data:`RANK_REL`,
+:data:`RESIDUAL_ABS` with :func:`residual_scale`, and :data:`SINGULAR_REL`.
+The one rank decision is :func:`svd_rank`, a relative cutoff on one full SVD
 from which every kernel, image and rank is read; the one matrix inverse is
 :func:`lu_inverse`, with its residual certificate; subspaces are always
 stored with orthonormal bases so that equality reduces to a projector norm
@@ -19,17 +21,16 @@ import numpy as np
 __all__ = [
     "ConjlimError",
     "InvalidInputError",
-    "Tolerance",
-    "DEFAULT_TOL",
+    "RANK_REL",
+    "RESIDUAL_ABS",
+    "residual_scale",
     "as_matrix",
     "as_square",
     "as_square_like",
-    "as_vector",
     "operator_norm",
     "poly_eval",
     "svd_rank",
     "pole_block_inverse",
-    "rank_of",
     "SINGULAR_REL",
     "singular",
     "lu_inverse",
@@ -60,33 +61,22 @@ class InvalidInputError(ConjlimError, ValueError):
     """An input violates a precondition (shape, finiteness, range)."""
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Numerical policy shared by all rank and residual decisions.
+#: Relative singular-value cutoff of :func:`svd_rank`: directions with
+#: ``sigma <= RANK_REL * sigma_max`` count as null.
+RANK_REL = 1e-10
 
-    Parameters
-    ----------
-    rank_rel : float
-        Relative singular-value cutoff: directions with
-        ``sigma <= rank_rel * sigma_max`` count as null.  Must lie in (0, 1).
-    residual_abs : float
-        Absolute residual cutoff, scaled by input norms where appropriate
-        via :meth:`residual_scale`.
-    """
-
-    rank_rel: float = 1e-10
-    residual_abs: float = 1e-10
-
-    def residual_scale(self, *norms: float) -> float:
-        """Residual threshold ``residual_abs * max(1, prod(norms))``."""
-        scale = 1.0
-        for value in norms:
-            scale *= float(value)
-        return self.residual_abs * max(1.0, scale)
+#: Relative residual cutoff: a defect vanishes when its norm is at most
+#: :func:`residual_scale` of the norms of the factors it is built from.
+RESIDUAL_ABS = 1e-10
 
 
-#: The one numerical policy, read by every rank cut and residual threshold.
-DEFAULT_TOL = Tolerance()
+def residual_scale(*norms: float) -> float:
+    """Residual threshold ``RESIDUAL_ABS * prod(norms)``: it scales with every
+    factor, so no verdict read against it moves when an input is scaled."""
+    scale = 1.0
+    for value in norms:
+        scale *= float(value)
+    return RESIDUAL_ABS * scale
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -114,15 +104,6 @@ def as_square_like(ref: np.ndarray, m, name: str = "matrix") -> np.ndarray:
     if out.shape != ref.shape:
         raise InvalidInputError(f"{name} must have shape {ref.shape}, got {out.shape}")
     return out
-
-
-def as_vector(v, name: str = "vector") -> np.ndarray:
-    x = np.asarray(v, dtype=np.complex128).reshape(-1)
-    if x.size == 0:
-        raise InvalidInputError(f"{name} must be non-empty")
-    if not np.isfinite(x).all():
-        raise InvalidInputError(f"{name} contains non-finite entries")
-    return x
 
 
 def operator_norm(m) -> float:
@@ -200,7 +181,8 @@ def _frobenius_sq(ms: np.ndarray) -> np.ndarray:
 
 def gated_inverse(us: np.ndarray):
     """Inverses of a stack ``us`` of square matrices, shape ``(k, n, n)``,
-    and the :func:`singular` gate on each, as ``(inv, gate)``.
+    and the :func:`singular` gate on each, as ``(inv, gate)``: the gate of
+    :func:`pathsim.simulate` and :func:`goodpath.laurent_inverse`.
 
     The inverses ``X`` and their certificate come from :func:`lu_inverse`.
     Where it certifies ``||U^{-1}||_2 <= b`` and ``5 * SINGULAR_REL * b *
@@ -227,11 +209,11 @@ def gated_inverse(us: np.ndarray):
 
 def svd_rank(m):
     """One full SVD ``m = u @ diag(s) @ vh`` and the numerical rank r, the
-    number of ``sigma > DEFAULT_TOL.rank_rel * sigma_max`` (0 for a zero
-    matrix), as ``(u, s, vh, r)``: ``vh[r:]^H`` spans ker m, ``u[:, :r]``
-    im m and ``u[:, r:]`` ker m^H."""
+    number of ``sigma > RANK_REL * sigma_max`` (0 for a zero matrix), as
+    ``(u, s, vh, r)``: ``vh[r:]^H`` spans ker m, ``u[:, :r]`` im m and
+    ``u[:, r:]`` ker m^H."""
     u, s, vh = np.linalg.svd(as_matrix(m))
-    r = int(np.count_nonzero(s > DEFAULT_TOL.rank_rel * s[0])) if s[0] > 0.0 else 0
+    r = int(np.count_nonzero(s > RANK_REL * s[0])) if s[0] > 0.0 else 0
     return u, s, vh, r
 
 
@@ -240,12 +222,12 @@ def pole_block_inverse(u, vh, r, e1):
     k block of E_1 from ker Z to ker Z^H, on the SVD of Z from
     :func:`svd_rank`.  Along ``Z + sum t^k E_k`` the pole order is <= 1
     exactly when S_1 is invertible.  ``ratio = sigma_min(S_1) / ||E_1||_F``,
-    ``cut = DEFAULT_TOL.rank_rel``, and ``inverse = S_1^{-1}``, or None where
+    ``cut = RANK_REL``, and ``inverse = S_1^{-1}``, or None where
     ``ratio <= cut``: the cut is relative to ``||E_1||``, not to
     ``sigma_max(S_1)``, so an S_1 that vanishes up to rounding is not
     cleared.  An invertible Z (k = 0) gives the 0 x 0 inverse and ratio inf.
     """
-    cut = DEFAULT_TOL.rank_rel
+    cut = RANK_REL
     if r == u.shape[0]:
         return np.zeros((0, 0), dtype=np.complex128), np.inf, cut
     w, s, xh = np.linalg.svd(u[:, r:].conj().T @ e1 @ vh[r:].conj().T)
@@ -254,11 +236,6 @@ def pole_block_inverse(u, vh, r, e1):
     if not ratio > cut:
         return None, ratio, cut
     return (xh.conj().T / s) @ w.conj().T, ratio, cut
-
-
-def rank_of(m) -> int:
-    """Numerical rank at the relative cutoff of :func:`svd_rank`."""
-    return svd_rank(m)[3]
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -284,7 +261,7 @@ class Subspace:
             raise InvalidInputError("subspace dimension exceeds ambient dimension")
         if b.shape[1] > 0:
             gram = b.conj().T @ b
-            if operator_norm(gram - np.eye(b.shape[1])) > 100 * DEFAULT_TOL.residual_scale():
+            if operator_norm(gram - np.eye(b.shape[1])) > 100 * RESIDUAL_ABS:
                 raise InvalidInputError("subspace basis columns are not orthonormal")
         object.__setattr__(self, "basis", _readonly(b))
 
@@ -343,7 +320,7 @@ def subspace_equal(s1: Subspace, s2: Subspace) -> bool:
         return False
     if s1.dim == 0:
         return True
-    return operator_norm(s1.projector() - s2.projector()) <= DEFAULT_TOL.residual_abs
+    return operator_norm(s1.projector() - s2.projector()) <= RESIDUAL_ABS
 
 
 def subspace_intersection(s1: Subspace, s2: Subspace) -> Subspace:

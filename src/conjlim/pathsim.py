@@ -14,13 +14,11 @@ from .criteria import MembershipVerdict, _invariance_verdict, _kernel_verdict, _
 from .goodpath import GoodPath, InvalidPathError
 from .modifier import Modifier, apply
 from .numkit import (
-    DEFAULT_TOL,
     ConjlimError,
     InvalidInputError,
     Subspace,
     as_square,
     as_square_like,
-    as_vector,
     gated_inverse,
     ginibre,
     kernel_basis,
@@ -28,6 +26,7 @@ from .numkit import (
     operator_norm,
     poly_eval,
     pole_block_inverse,
+    residual_scale,
     singular,
     subspace_intersection,
     svd_rank,
@@ -41,7 +40,6 @@ __all__ = [
     "simulate",
     "SearchOutcome",
     "divergence_search",
-    "rank_one_probe",
     "Filtration",
     "kernel_filtration",
     "preserves_filtration",
@@ -470,21 +468,6 @@ def divergence_search(
     return SearchOutcome(best_mat, float(best_val), evals, rejected, restarts)
 
 
-def rank_one_probe(x, y) -> np.ndarray:
-    """Matrix of ``u -> (y, u) x``, i.e. the outer product ``x y^H``.
-
-    These probes drive the divergence search and satisfy the composition
-    rules ``E_xy E_yz = E_xz`` (unit vectors) and
-    ``E_xy A E_xy = (y^H A x) E_xy``; summing ``E_{e_i e_i}`` over an
-    orthonormal basis gives the identity.
-    """
-    xv = as_vector(x, "x")
-    yv = as_vector(y, "y")
-    if np.linalg.norm(xv) == 0.0 or np.linalg.norm(yv) == 0.0:
-        raise InvalidInputError("probe vectors must be nonzero")
-    return np.outer(xv, yv.conj())
-
-
 @dataclass(frozen=True)
 class Filtration:
     """Descending chain of subspaces ``F^0 >= F^1 >= ...``."""
@@ -543,7 +526,7 @@ def preserves_filtration(a, filtration: Filtration):
     n = A.shape[0]
     if filtration.ambient_dim != n:
         raise InvalidInputError("A must match the filtration's ambient dimension")
-    threshold = DEFAULT_TOL.residual_scale(operator_norm(A))
+    threshold = residual_scale(operator_norm(A))
     worst = 0.0
     eye = np.eye(n)
     for space in filtration.spaces:

@@ -9,7 +9,7 @@ import pytest
 
 from conjlim import cli, suites
 from conjlim.goodpath import construct_good_path
-from conjlim.numkit import ginibre, load_matrix, matrix_from_json, matrix_to_json, save_matrix
+from conjlim.numkit import matrix_from_json, matrix_to_json, save_matrix
 
 
 @pytest.fixture
@@ -108,6 +108,14 @@ class TestCriteriaCommand:
         assert run(["criteria", "--op", "sker", "--Z", zp]) == 2
         assert "requires --A" in capsys.readouterr().err
 
+    def test_malformed_json_reports_position(self, matrices, tmp_path, capsys):
+        _, ap = matrices
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"rows": 2, "cols": 2, "data": [[1, 0],')
+        assert run(["criteria", "--op", "sker", "--Z", bad, "--A", ap]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: JSON parse error at line 1, column ")
+
 
 class TestGoodpathCommand:
     def test_construct_and_reload(self, matrices, tmp_path, capsys):
@@ -177,7 +185,7 @@ class TestModifierCommand:
 
 
 class TestSimulateCommand:
-    def test_linear_path_with_csv(self, tmp_path, capsys):
+    def test_linear_path(self, tmp_path, capsys):
         spec = {
             "base": matrix_to_json(np.diag([1.0, 0.0])),
             "coeffs": [matrix_to_json(np.diag([0.0, 1.0]))],
@@ -188,7 +196,6 @@ class TestSimulateCommand:
         a[0, 1] = 1.0
         ap = tmp_path / "a.json"
         save_matrix(ap, a)
-        csv_path = tmp_path / "norms.csv"
         code = run(
             [
                 "simulate",
@@ -200,16 +207,12 @@ class TestSimulateCommand:
                 "J",
                 "--grid",
                 "1e-6:1e-1:26",
-                "--csv",
-                csv_path,
             ]
         )
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["verdict"] == "divergent"
-        rows = csv_path.read_text().strip().splitlines()
-        assert rows[0] == "t,norm"
-        assert len(rows) == 27
+        assert len(report["t_values"]) == len(report["norms"]) == 26
 
 
 class TestSimulatePathKinds:
@@ -349,35 +352,3 @@ class TestSuiteCommand:
         assert code == 10 + suites.SUITE_IDS.index("rigidity")
         assert "FAIL" in capsys.readouterr().err
 
-
-class TestConvertCommand:
-    def test_json_csv_round_trip(self, tmp_path):
-        m = ginibre(5, rng=np.random.default_rng(3))
-        src = tmp_path / "m.json"
-        mid = tmp_path / "m.csv"
-        back = tmp_path / "back.json"
-        save_matrix(src, m)
-        assert run(["convert", "--in", src, "--out", mid]) == 0
-        assert run(["convert", "--in", mid, "--out", back]) == 0
-        assert np.array_equal(load_matrix(back), m)
-
-    def test_identity_round_trip(self, tmp_path):
-        src = tmp_path / "i.json"
-        save_matrix(src, np.eye(3))
-        assert run(["convert", "--in", src, "--out", tmp_path / "i.csv"]) == 0
-        assert run(["convert", "--in", tmp_path / "i.csv", "--out", tmp_path / "i2.json"]) == 0
-        assert np.array_equal(load_matrix(tmp_path / "i2.json"), np.eye(3))
-
-    def test_malformed_json_reports_position(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"rows": 2, "cols": 2, "data": [[1, 0],')
-        assert run(["convert", "--in", bad, "--out", tmp_path / "x.csv"]) == 2
-        err = capsys.readouterr().err
-        assert "line" in err and "column" in err
-
-    def test_malformed_csv_cell_reports_position(self, tmp_path, capsys):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("(1+0j),(2+0j)\n(3+0j),oops\n")
-        assert run(["convert", "--in", bad, "--out", tmp_path / "x.json"]) == 2
-        err = capsys.readouterr().err
-        assert "line 2" in err and "column 2" in err

@@ -3,8 +3,8 @@ no module imports a name it never uses, every name listed in a module's
 ``__all__`` exists, every function reads each of its parameters, ranks are
 cut, singular matrices gated and matrices inverted in ``numkit`` only,
 determinants taken in ``pathsim._batched_adjugate`` only, no least-squares
-solve anywhere, every threshold reads the one ``numkit.DEFAULT_TOL``, no
-function takes a ``dual`` flag, and the
+solve anywhere, no function takes a tolerance of its own in place of the
+``numkit`` policy constants, no function takes a ``dual`` flag, and the
 package imports exactly the dependencies ``pyproject.toml`` declares."""
 
 import ast
@@ -208,14 +208,26 @@ def test_no_least_squares():
     assert not found, f"no np.linalg.lstsq in the package: {found}"
 
 
-def rank_cut_lines(tree: ast.Module) -> list:
-    """Lines that read ``<...>.rank_rel`` or import ``_svd_rank``: the
-    ingredients of a rank decision of a module's own."""
+def constant_lines(tree: ast.Module, name: str) -> list:
+    """Lines that read the module constant ``name``, bare or as an
+    attribute, or import it."""
     lines = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr == "rank_rel":
+        if isinstance(node, ast.Name) and node.id == name:
             lines.append(node.lineno)
-        elif isinstance(node, ast.ImportFrom) and any(a.name == "_svd_rank" for a in node.names):
+        elif isinstance(node, ast.Attribute) and node.attr == name:
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and any(a.name == name for a in node.names):
+            lines.append(node.lineno)
+    return lines
+
+
+def rank_cut_lines(tree: ast.Module) -> list:
+    """Lines that read or import ``RANK_REL`` or import ``_svd_rank``: the
+    ingredients of a rank decision of a module's own."""
+    lines = constant_lines(tree, "RANK_REL")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and any(a.name == "_svd_rank" for a in node.names):
             lines.append(node.lineno)
     return lines
 
@@ -232,22 +244,6 @@ def test_rank_is_cut_in_numkit_only():
     assert not found, f"cut ranks with numkit.svd_rank: {found}"
 
 
-def singular_rel_lines(tree: ast.Module) -> list:
-    """Lines that read or import ``SINGULAR_REL``, the singularity gate's
-    threshold."""
-    lines = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and node.id == "SINGULAR_REL":
-            lines.append(node.lineno)
-        elif isinstance(node, ast.Attribute) and node.attr == "SINGULAR_REL":
-            lines.append(node.lineno)
-        elif isinstance(node, ast.ImportFrom) and any(
-            a.name == "SINGULAR_REL" for a in node.names
-        ):
-            lines.append(node.lineno)
-    return lines
-
-
 def test_singular_rel_read_in_numkit_only():
     # numkit.singular and numkit.gated_inverse are the one singularity gate;
     # the LU certificate and the SVD gate share its threshold there only
@@ -255,21 +251,13 @@ def test_singular_rel_read_in_numkit_only():
         f"{path.name}:{line}"
         for path in SOURCES
         if path.name != "numkit.py"
-        for line in singular_rel_lines(ast.parse(path.read_text(encoding="utf-8")))
+        for line in constant_lines(ast.parse(path.read_text(encoding="utf-8")), "SINGULAR_REL")
     ]
     assert not found, f"gate singular matrices with numkit.singular or gated_inverse: {found}"
 
 
-def tolerance_sites(tree: ast.Module, home: bool) -> list:
-    """Lines that declare a parameter or class field named ``tol``, or call
-    ``Tolerance(...)``; in the policy's ``home`` module the call that builds
-    ``DEFAULT_TOL`` is allowed."""
-    allowed = set()
-    for node in tree.body:
-        if home and isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "DEFAULT_TOL" for t in node.targets
-        ):
-            allowed.update(id(n) for n in ast.walk(node.value))
+def tolerance_sites(tree: ast.Module) -> list:
+    """Lines that declare a parameter or class field named ``tol``."""
     lines = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
@@ -282,26 +270,19 @@ def tolerance_sites(tree: ast.Module, home: bool) -> list:
                 for item in node.body
                 if isinstance(item, ast.AnnAssign) and ast.unparse(item.target) == "tol"
             ]
-        elif (
-            isinstance(node, ast.Call)
-            and ast.unparse(node.func).split(".")[-1] == "Tolerance"
-            and id(node) not in allowed
-        ):
-            lines.append(node.lineno)
     return lines
 
 
 def test_one_numerical_policy():
-    # every rank cut and residual threshold reads numkit.DEFAULT_TOL, so a
-    # change of policy is a change to that one record, not to each caller
+    # every rank cut reads numkit.RANK_REL and every residual threshold is
+    # numkit.residual_scale, so a change of policy is a change to those
+    # constants, not to each caller
     found = [
         f"{path.name}:{line}"
         for path in SOURCES
-        for line in tolerance_sites(
-            ast.parse(path.read_text(encoding="utf-8")), path.name == "numkit.py"
-        )
+        for line in tolerance_sites(ast.parse(path.read_text(encoding="utf-8")))
     ]
-    assert not found, f"read numkit.DEFAULT_TOL instead of taking a tolerance: {found}"
+    assert not found, f"read the numkit policy constants instead of taking a tolerance: {found}"
 
 
 def test_no_dual_flag():

@@ -1,14 +1,19 @@
 """Metamorphic relations of the membership verdicts (T. Y. Chen et al.,
 "Metamorphic Testing: A Review of Challenges and Opportunities", ACM CSUR
-51(1), 2018): scaling Z by c in [1e-8, 1e8] moves no exact verdict, and each
+51(1), 2018): scaling Z by c in [1e-8, 1e8] moves no exact verdict, scaling A
+by c in [1e-12, 1e12] moves none and scales each threshold by c, and each
 dual test on adjoints reads the verdict of its primal.
 
 Instances sit near the threshold on purpose: A is a unit-norm member plus a
 unit-norm Ginibre violation of size 10^[-13, -7], so a threshold that reads
-``||Z||`` or a dual that measures a different defect flips verdicts.
+``||Z||``, one that is not proportional to ``||A||``, or a dual that
+measures a different defect flips verdicts.
 """
 
+import warnings
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,10 +27,12 @@ from conjlim.criteria import (
 from conjlim.goodpath import construct_good_path
 from conjlim.modifier import Modifier, some_path_bounded, some_path_bounded_dual
 from conjlim.numkit import ginibre, random_singular
+from conjlim.pathsim import polynomial_path_bounded
 
 SEEDED = settings(max_examples=15, deadline=None, derandomize=True, database=None)
 instances = st.tuples(st.integers(0, 2**32 - 1), st.floats(-13.0, -7.0))
 scales = st.floats(-8.0, 8.0).map(lambda e: 10.0**e)
+a_scales = st.floats(-12.0, 12.0).map(lambda e: 10.0**e)
 
 
 def near_member(seed, log_violation, image=False):
@@ -73,6 +80,67 @@ class TestScaleOfZ:
         scaled = some_path_bounded(a, c * z, phi, seed=0)
         assert scaled.member == base.member
         assert scaled.threshold == base.threshold
+
+
+class TestScaleOfA:
+    """Every defect and every threshold is linear in A, so ``A -> cA`` keeps
+    the verdict and multiplies the threshold by c."""
+
+    @staticmethod
+    def assert_scaled(base, scaled, c):
+        assert scaled.member == base.member
+        assert scaled.threshold == pytest.approx(c * base.threshold, rel=1e-12, abs=0.0)
+
+    @SEEDED
+    @given(instances, a_scales)
+    def test_kernel_verdict(self, inst, c):
+        a, z = near_member(*inst)
+        self.assert_scaled(keeps_kernel_invariant(a, z), keeps_kernel_invariant(c * a, z), c)
+
+    @SEEDED
+    @given(instances, a_scales)
+    def test_image_verdict(self, inst, c):
+        a, z = near_member(*inst, image=True)
+        self.assert_scaled(keeps_image_invariant(a, z), keeps_image_invariant(c * a, z), c)
+
+    @SEEDED
+    @given(instances, a_scales)
+    def test_pole_term(self, inst, c):
+        a, z = near_member(*inst)
+        pole = construct_good_path(z).inverse_pole
+        base, scaled = pole_term_vanishes(a, z, pole), pole_term_vanishes(c * a, z, pole)
+        self.assert_scaled(base, scaled, c)
+
+    @SEEDED
+    @given(instances, a_scales)
+    def test_pole_term_dual(self, inst, c):
+        a, z = near_member(*inst, image=True)
+        pole = construct_good_path(z).inverse_pole
+        base = pole_term_vanishes_dual(a, z, pole)
+        self.assert_scaled(base, pole_term_vanishes_dual(c * a, z, pole), c)
+
+    @SEEDED
+    @given(instances, a_scales)
+    def test_faithful_some_path_bounded(self, inst, c):
+        a, z = near_member(*inst)
+        phi = Modifier.delete_diagonal(z.shape[0])
+        base = some_path_bounded(a, z, phi, seed=0)
+        self.assert_scaled(base, some_path_bounded(c * a, z, phi, seed=0), c)
+
+    def test_no_overflow_near_the_top_of_the_float_range(self):
+        # the witness search compares column norms of the defect, whose
+        # squares overflow when ||A|| is near the largest float
+        z = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        a = 1e300 * np.ones((3, 3), dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdict = keeps_kernel_invariant(a, z)
+            assert not verdict.member
+            x = verdict.witness
+            assert np.linalg.norm(z @ x) < 1e-12 and abs((a @ x)[0]) > verdict.threshold
+            phi = Modifier.delete_diagonal(3)
+            assert not some_path_bounded(a, z, phi, seed=0).member
+            assert not polynomial_path_bounded(z, [np.diag([0.0, 1.0, 1.0])], a)
 
 
 class TestAdjointDuality:

@@ -31,7 +31,6 @@ from conjlim.pathsim import (
     polynomial_growth_degrees,
     polynomial_path_bounded,
     preserves_filtration,
-    rank_one_probe,
     simulate,
 )
 from conjlim.pathsim import _batched_adjugate
@@ -502,39 +501,6 @@ class TestStackedSimulate:
         report = simulate(path, unit(2, 0, 1), grid=[0.5, 0.125, 0.0625])
         assert np.array_equal(report.t_values, [0.5, 0.125, 0.0625])
         assert np.allclose(report.norms, [2.0, 8.0, 16.0], rtol=1e-12)
-
-
-class TestRankOneProbe:
-    def test_elementary(self):
-        assert np.allclose(rank_one_probe([1, 0, 0], [0, 1, 0]), unit(3, 0, 1))
-
-    def test_composition(self):
-        e = np.eye(3)
-        left = rank_one_probe(e[:, 0], e[:, 1]) @ rank_one_probe(e[:, 1], e[:, 2])
-        assert np.allclose(left, unit(3, 0, 2), atol=1e-15)
-
-    def test_probe_properties_on_random_frames(self):
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            q = random_unitary(4, rng)
-            x, y, z = q[:, 0], q[:, 1], q[:, 2]
-            exy = rank_one_probe(x, y)
-            eyz = rank_one_probe(y, z)
-            # composition and the orthogonality annihilation rule
-            assert np.linalg.norm(exy @ eyz - rank_one_probe(x, z), 2) < 1e-12
-            assert np.linalg.norm(eyz @ exy, 2) < 1e-12  # (x, z) = 0
-            a = ginibre(4, rng=rng)
-            coeff = np.vdot(y, a @ x)  # y^H A x
-            assert np.linalg.norm(exy @ a @ exy - coeff * exy, 2) < 1e-12
-
-    def test_diagonal_probes_sum_to_identity(self):
-        q = random_unitary(5, np.random.default_rng(2))
-        total = sum(rank_one_probe(q[:, i], q[:, i]) for i in range(5))
-        assert np.linalg.norm(total - np.eye(5), 2) < 1e-12
-
-    def test_rejects_zero_vectors(self):
-        with pytest.raises(InvalidInputError):
-            rank_one_probe([0.0, 0.0], [1.0, 0.0])
 
 
 class TestFiltration:

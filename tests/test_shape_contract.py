@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from conjlim.criteria import (
-    conjugate_family,
     keeps_image_invariant,
     keeps_kernel_invariant,
     pole_term_vanishes,
@@ -52,7 +51,6 @@ CASES = {
     "keeps_image_invariant": (A, lambda m: keeps_image_invariant(m, Z)),
     "pole_term_vanishes": (C, lambda m: pole_term_vanishes(A, Z, m)),
     "pole_term_vanishes_dual": (C, lambda m: pole_term_vanishes_dual(A, Z, m)),
-    "conjugate_family": (A, lambda m: conjugate_family([m], np.eye(3) + C)),
     "some_path_bounded": (A, lambda m: some_path_bounded(m, Z, PHI, seed=0)),
     "some_path_bounded_dual": (Z, lambda m: some_path_bounded_dual(A, m, PHI, seed=0)),
     "divergence_search": (Z, lambda m: divergence_search(A, m, budget=1, seed=0)),
