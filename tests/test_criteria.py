@@ -14,12 +14,14 @@ from conjlim.criteria import (
     pole_term_vanishes_dual,
 )
 from conjlim.goodpath import construct_good_path
+from conjlim.modifier import Modifier
 from conjlim.numkit import (
     InvalidInputError,
     ginibre,
     kernel_basis,
     random_singular,
 )
+from conjlim.pathsim import MatrixPath, PathSingularError, simulate
 
 
 def unit(n, i, j):
@@ -257,7 +259,39 @@ class TestAlgebraClosure:
 
 
 class TestConjugateFamily:
-    """The kernel algebra basis of Z under conjugation by an invertible p."""
+    """Conjugates ``p A p^{-1}`` as :func:`simulate` takes them on the
+    constant path ``U = p``, behind the package's one singularity gate, and
+    the kernel algebra basis of Z under conjugation by an invertible p."""
+
+    @staticmethod
+    def _conjugate_norms(a, p, phi=None):
+        return simulate(MatrixPath.polynomial(p, ()), a, phi, grid=[1e-1, 1e-2, 1e-3]).norms
+
+    def test_identity_fixed(self):
+        # p I p^{-1} = I: norm 1, and nothing off the diagonal
+        rng = np.random.default_rng(6)
+        p = np.eye(3) + 0.2 * ginibre(3, rng=rng)
+        assert np.allclose(self._conjugate_norms(np.eye(3), p), 1.0, rtol=0, atol=1e-12)
+        off = self._conjugate_norms(np.eye(3), p, Modifier.delete_diagonal(3))
+        assert np.all(off < 1e-12)
+
+    def test_rejects_singular(self):
+        p = random_singular(3, 2, np.random.default_rng(7))
+        with pytest.raises(PathSingularError):
+            self._conjugate_norms(np.eye(3), p)
+
+    @pytest.mark.parametrize("small", [1e-11, 1e-12, 1e-14, 0.0])
+    def test_gate_is_numkit_singular(self, small):
+        # the package-wide gate, SINGULAR_REL = 1e-13, not the rank cutoff
+        p = np.diag([1.0, small])
+        b = np.array([[1.0, 2.0], [3.0, 4.0]])
+        if small < 1e-13:
+            with pytest.raises(PathSingularError):
+                self._conjugate_norms(b, p)
+        else:
+            # p b p^{-1} = [[1, 2 / small], [3 small, 4]]
+            expected = np.linalg.norm(np.array([[1.0, 2.0 / small], [3.0 * small, 4.0]]), 2)
+            assert np.allclose(self._conjugate_norms(b, p), expected, rtol=1e-12, atol=0)
 
     @staticmethod
     def _span_projector(mats):

@@ -244,6 +244,20 @@ def test_rank_is_cut_in_numkit_only():
     assert not found, f"cut ranks with numkit.svd_rank: {found}"
 
 
+@pytest.mark.parametrize(
+    "stray",
+    ["from .numkit import RANK_REL", "cut = numkit.RANK_REL * s[0]", "RANK_REL = 1e-10"],
+    ids=["import", "attribute", "name"],
+)
+def test_rank_cut_check_catches_a_stray_rank_rel(stray):
+    # the check above is only as sharp as this: a RANK_REL planted in
+    # criteria.py, imported, read off numkit or bound, is flagged on its line
+    source = (PACKAGE / "criteria.py").read_text(encoding="utf-8")
+    planted = f"{source}\n{stray}\n"
+    assert rank_cut_lines(ast.parse(source)) == []
+    assert rank_cut_lines(ast.parse(planted)) == [planted.count("\n")]
+
+
 def test_singular_rel_read_in_numkit_only():
     # numkit.singular and numkit.gated_inverse are the one singularity gate;
     # the LU certificate and the SVD gate share its threshold there only

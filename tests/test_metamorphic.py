@@ -127,20 +127,34 @@ class TestScaleOfA:
         base = some_path_bounded(a, z, phi, seed=0)
         self.assert_scaled(base, some_path_bounded(c * a, z, phi, seed=0), c)
 
-    def test_no_overflow_near_the_top_of_the_float_range(self):
-        # the witness search compares column norms of the defect, whose
-        # squares overflow when ||A|| is near the largest float
-        z = np.diag([1.0, 0.0, 0.0]).astype(complex)
-        a = 1e300 * np.ones((3, 3), dtype=complex)
+    # the witness search compares column norms of the defect, whose squares
+    # overflow when ||A|| is near the largest float
+    HUGE_A = 1e300 * np.ones((3, 3), dtype=complex)
+    Z_RANK_ONE = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    MEMBERSHIP = {
+        "keeps_kernel_invariant": lambda a, z: keeps_kernel_invariant(a, z).member,
+        "keeps_image_invariant": lambda a, z: keeps_image_invariant(a, z).member,
+        "some_path_bounded": lambda a, z: some_path_bounded(
+            a, z, Modifier.delete_diagonal(3), seed=0
+        ).member,
+        "polynomial_path_bounded": lambda a, z: polynomial_path_bounded(
+            z, [np.diag([0.0, 1.0, 1.0])], a
+        ),
+    }
+
+    @pytest.mark.parametrize("name", MEMBERSHIP)
+    def test_no_overflow_near_the_top_of_the_float_range(self, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not self.MEMBERSHIP[name](self.HUGE_A, self.Z_RANK_ONE)
+
+    def test_witness_near_the_top_of_the_float_range(self):
+        a, z = self.HUGE_A, self.Z_RANK_ONE
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             verdict = keeps_kernel_invariant(a, z)
-            assert not verdict.member
-            x = verdict.witness
-            assert np.linalg.norm(z @ x) < 1e-12 and abs((a @ x)[0]) > verdict.threshold
-            phi = Modifier.delete_diagonal(3)
-            assert not some_path_bounded(a, z, phi, seed=0).member
-            assert not polynomial_path_bounded(z, [np.diag([0.0, 1.0, 1.0])], a)
+        x = verdict.witness
+        assert np.linalg.norm(z @ x) < 1e-12 and abs((a @ x)[0]) > verdict.threshold
 
 
 class TestAdjointDuality:
